@@ -1,42 +1,47 @@
-"""PERF: solver/dispatch variants, wall clock, and cache effectiveness.
+"""PERF: solve cache, settle pipelines, dispatch — wall clock and counters.
 
 A standalone script (not a pytest-benchmark module) that times ``run_fig2``
-four ways, times the vectorized hot path on a scaled-up workload, and
-writes ``BENCH_fig2.json``:
+three ways, times the scalar against the batched settle pipeline on a
+scaled-up workload, and writes ``BENCH_fig2.json``:
 
-1. **serial / cache off** — the pre-optimization baseline
+1. **serial / cache off** — the bus-solve memo cache disabled
    (``solve_cache_size=0``);
-2. **serial / cache on** — the PR 1 memo-cache solver (bisection);
-3. **serial / newton + warm start** — ``solver_mode="newton"``: guarded
-   Newton root finder seeded from the previous equilibrium;
-4. **parallel / chunked** — the cached grid through ``run_many(jobs=N)``
-   with chunked dispatch and a per-worker shared solve cache.
+2. **serial / cache on** — the default configuration;
+3. **parallel / chunked** — the cached grid through ``run_many(jobs=N)``
+   with chunked dispatch.
 
 Alongside wall-clock it records solver-work counters summed over every
-simulation in the grid: ``solve`` invocations, memo/shared cache hits,
-warm starts, and root-finder throughput evaluations — the optimizations'
-job is to make the last number drop. The script asserts the variants agree
-on the figure's actual rows: chunked parallel must match serial *exactly*;
-cache-off and newton must match the cached bisect run to solver tolerance
-(the CI benchmark smoke job runs this script and fails on any violation).
+simulation in the grid: ``solve`` invocations, memo-cache hits, Newton
+warm starts, and root-finder throughput evaluations. The script asserts
+the variants agree on the figure's actual rows: chunked parallel must
+match serial *exactly*; cache-off must match cache-on to solver tolerance
+(a cache hit skips a solve, which moves the next solve's warm start, so
+the last ulp may differ). The CI benchmark smoke job runs this script
+and fails on any violation.
 
-The **vectorized** section scales the fig2 workload up to a large SMP
+The simulator picks its kernels from problem size: machines from
+``repro.hw.machine.BATCH_MIN_CPUS`` logical CPUs (without SMT) run the
+batched (struct-of-arrays) settle pipeline, and bus solves from
+``repro.hw.bus._VECTOR_MIN_LANES`` lanes run the numpy kernel. The
+**pipelines** section scales the fig2 workload up to a large SMP
 (default: 256 CPUs, 128 target app instances of Barnes/SP/CG/Raytrace
 plus 128 microbenchmark background apps under the Quanta Window policy)
-and times ``solver_mode="vector"`` + incremental selection against the
-PR 5 state of the art, ``solver_mode="newton"`` + full re-rank selection.
-The two runs must produce *bit-identical* ``RunResult``s — the speedup is
+and runs it with both thresholds forced each way: the *scalar* side
+(scalar pipeline, scalar Newton loop) against the *batched* side. The
+two runs must produce *bit-identical* ``RunResult``s — the speedup is
 pure evaluation-order-preserving batching — and the report carries the
-hot-path counters (``batched_lanes``, ``dirty_mask_hits``, the fraction
-of per-job estimates actually re-scored) that prove where the time went.
+batched run's hot-path counters (``batched_lanes``, ``dirty_mask_hits``,
+the fraction of per-job estimates re-scored).
 
 The **entry_build** section micro-benchmarks the ``_ensure_solution``
 entry build alone — every lane dirtied, solve memoized away — and
-reports µs per 1k dirty lanes for the scalar loop vs the SoA array
-pass, plus the ratio. The **vectorized** section additionally carries
-the previously committed walls (``prior_walls``) and the cumulative
-speedups against them, so the report shows both this run's ratio and
-the across-PR trend.
+reports µs per 1k dirty lanes for the scalar loop vs the SoA array pass,
+plus the ratio.
+
+``--crossover`` adds the two tables behind the thresholds: per-solve
+time of the scalar loop against the numpy kernel by lane count, and
+whole-run CPU time of the scalar against the batched pipeline by
+machine size (work scaled so every size does similar total work).
 
 Parallel timing is only reported as a speedup where it can be one: the
 script records ``os.cpu_count()``, the scheduler affinity mask *and*
@@ -51,40 +56,46 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf.py            # defaults
     PYTHONPATH=src python benchmarks/bench_perf.py --jobs 4 --scale 0.2
+    PYTHONPATH=src python benchmarks/bench_perf.py --crossover
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import random
 import sys
 import time
+from typing import Iterator
 
+import repro.hw.bus as bus_module
+import repro.hw.machine as machine_module
 from repro.config import BusConfig, MachineConfig
 from repro.parallel import cgroup_cpu_quota, fork_available, resolve_jobs, usable_cpus
 
-#: Application subset for the scaled-up vectorized gate: two
+#: Application subset for the scaled-up pipeline gate: two
 #: bandwidth-hungry codes (SP, CG), one cache-friendly (Barnes) and one
 #: mixed (Raytrace), mirroring the fig2 "set A vs set C" spread.
 SCALED_APPS = ["Barnes", "SP", "CG", "Raytrace"]
 
-#: Wall-clock seconds from the previously committed BENCH_fig2.json
-#: (same box, same scaled workload: 256 CPUs, 32 instances, scale 0.05,
-#: seed 42). Carried forward so each refresh also reports the cumulative
-#: hot-path speedup across PRs, not just this run's newton-vs-vector
-#: ratio. Update these when re-baselining on new hardware.
-PRIOR_WALLS = {
-    "serial_newton_warm_s": 1.8512,
-    "vectorized_s": 0.4482,
-}
+
+@contextlib.contextmanager
+def forced(batched: bool) -> Iterator[None]:
+    """Build machines and bus models on one side of both size thresholds."""
+    saved = (machine_module.BATCH_MIN_CPUS, bus_module._VECTOR_MIN_LANES)
+    threshold = 0 if batched else 10**9
+    machine_module.BATCH_MIN_CPUS = threshold
+    bus_module._VECTOR_MIN_LANES = threshold
+    try:
+        yield
+    finally:
+        machine_module.BATCH_MIN_CPUS, bus_module._VECTOR_MIN_LANES = saved
 
 
-def _machine(cache: bool, solver: str = "bisect") -> MachineConfig:
-    bus = BusConfig(
-        solve_cache_size=BusConfig().solve_cache_size if cache else 0,
-        solver_mode=solver,
-    )
+def _machine(cache: bool) -> MachineConfig:
+    bus = BusConfig(solve_cache_size=BusConfig().solve_cache_size if cache else 0)
     return MachineConfig(bus=bus)
 
 
@@ -122,22 +133,19 @@ def _run(set_name: str, machine: MachineConfig, jobs: int, scale: float,
         "simulations": len(results),
         "solve_calls": sum(r.bus_solve_calls for r in results),
         "cache_hits": sum(r.bus_cache_hits for r in results),
-        "shared_hits": sum(r.bus_shared_hits for r in results),
         "warm_starts": sum(r.bus_warm_starts for r in results),
         "solver_steps": sum(r.bus_bisection_steps for r in results),
     }
-    # Back-compat alias: earlier reports called this "bisection_steps".
-    stats["bisection_steps"] = stats["solver_steps"]
     stats["cache_hit_rate"] = (
-        round((stats["cache_hits"] + stats["shared_hits"]) / stats["solve_calls"], 4)
+        round(stats["cache_hits"] / stats["solve_calls"], 4)
         if stats["solve_calls"]
         else 0.0
     )
     return results, stats
 
 
-def _scaled_spec(mode: str, incremental: bool, n_cpus: int, inst: int,
-                 scale: float, seed: int, profile: bool = False):
+def _scaled_spec(n_cpus: int, inst: int, scale: float, seed: int,
+                 profile: bool = False):
     """One scaled-up fig2 workload under Quanta Window.
 
     ``inst`` instances of each app in :data:`SCALED_APPS` (two threads
@@ -153,14 +161,10 @@ def _scaled_spec(mode: str, incremental: bool, n_cpus: int, inst: int,
 
     machine = MachineConfig(
         n_cpus=n_cpus,
-        bus=BusConfig(
-            solver_mode=mode,
-            capacity_txus=BusConfig().capacity_txus * (n_cpus / 4.0),
-        ),
+        bus=BusConfig(capacity_txus=BusConfig().capacity_txus * (n_cpus / 4.0)),
     )
     manager = ManagerConfig()
     template = default_policies(manager)[1]  # Quanta Window
-    template.incremental = incremental
     targets = []
     for name in SCALED_APPS:
         app = PAPER_APPS[name].scaled(scale)
@@ -179,43 +183,39 @@ def _scaled_spec(mode: str, incremental: bool, n_cpus: int, inst: int,
     )
 
 
-def _best_of(reps: int, make_spec, run):
-    """Best wall-clock over ``reps`` runs of freshly-built specs."""
+def _best_of(reps: int, make_spec, run, clock=time.perf_counter):
+    """Best time over ``reps`` runs of freshly-built specs."""
     best = float("inf")
     result = None
     for _ in range(reps):
         spec = make_spec()
-        start = time.perf_counter()
+        start = clock()
         result = run(spec)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, clock() - start)
     return best, result
 
 
-def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
-                      reps: int) -> dict:
-    """Time vector+incremental against newton+full-rerank, bit-for-bit."""
+def _pipeline_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
+                        reps: int) -> dict:
+    """Time forced-scalar against forced-batched, bit-for-bit."""
     from repro.experiments.base import run_simulation
 
-    def newton_spec():
-        return _scaled_spec("newton", False, n_cpus, inst, scale, seed)
+    def spec():
+        return _scaled_spec(n_cpus, inst, scale, seed)
 
-    def vector_spec():
-        return _scaled_spec("vector", True, n_cpus, inst, scale, seed)
-
-    t_newton, r_newton = _best_of(reps, newton_spec, run_simulation)
-    t_vector, r_vector = _best_of(reps, vector_spec, run_simulation)
-    identical = r_newton == r_vector
-    assert identical, "vectorized hot path diverged from the newton reference"
-
-    # One extra profiled run for the hot-path counters (never timed: the
-    # per-phase timers themselves cost wall clock).
-    profiled = run_simulation(
-        _scaled_spec("vector", True, n_cpus, inst, scale, seed, profile=True)
-    )
+    with forced(False):
+        t_scalar, r_scalar = _best_of(reps, spec, run_simulation)
+    with forced(True):
+        t_batched, r_batched = _best_of(reps, spec, run_simulation)
+        # One extra profiled run for the hot-path counters (never timed:
+        # the per-phase timers themselves cost wall clock).
+        profiled = run_simulation(_scaled_spec(n_cpus, inst, scale, seed, profile=True))
+    identical = r_scalar == r_batched
+    assert identical, "batched pipeline diverged from the scalar pipeline"
     prof = profiled.profile or {}
     rescored = prof.get("sel_est_rescored", 0)
     reused = prof.get("sel_est_reused", 0)
-    section = {
+    return {
         "workload": {
             "n_cpus": n_cpus,
             "apps": SCALED_APPS,
@@ -227,19 +227,15 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
             "seed": seed,
         },
         "best_of": reps,
-        "serial_newton_warm": {
-            "wall_clock_s": round(t_newton, 4),
-            "solver_mode": "newton",
-            "incremental_selection": False,
-            "solve_calls": r_newton.bus_solve_calls,
-            "solver_steps": r_newton.bus_bisection_steps,
+        "scalar": {
+            "wall_clock_s": round(t_scalar, 4),
+            "solve_calls": r_scalar.bus_solve_calls,
+            "solver_steps": r_scalar.bus_bisection_steps,
         },
-        "vectorized": {
-            "wall_clock_s": round(t_vector, 4),
-            "solver_mode": "vector",
-            "incremental_selection": True,
-            "solve_calls": r_vector.bus_solve_calls,
-            "solver_steps": r_vector.bus_bisection_steps,
+        "batched": {
+            "wall_clock_s": round(t_batched, 4),
+            "solve_calls": r_batched.bus_solve_calls,
+            "solver_steps": r_batched.bus_bisection_steps,
             "batched_lanes": prof.get("batched_lanes", 0),
             "dirty_mask_hits": prof.get("dirty_mask_hits", 0),
             "sel_est_rescored": rescored,
@@ -250,23 +246,15 @@ def _vector_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
                 else None
             ),
         },
-        "speedup_vs_newton": round(t_newton / t_vector, 2),
-        "prior_walls": dict(PRIOR_WALLS),
-        "speedup_vs_prior_vector": round(
-            PRIOR_WALLS["vectorized_s"] / t_vector, 2
-        ),
-        "total_speedup_vs_prior_newton": round(
-            PRIOR_WALLS["serial_newton_warm_s"] / t_vector, 2
-        ),
-        "bit_identical_newton_vector": identical,
+        "batched_speedup_vs_scalar": round(t_scalar / t_batched, 2),
+        "bit_identical_scalar_batched": identical,
     }
-    return section
 
 
 def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
     """Micro-benchmark: ``_ensure_solution`` entry build, µs per 1k dirty lanes.
 
-    Builds a fully-occupied ``n_lanes``-CPU machine in each solver mode,
+    Builds a fully-occupied ``n_lanes``-CPU machine on each pipeline,
     then repeatedly invalidates the lane signature (so every lane is
     dirty and the skip path cannot fire) and rebuilds. The bus solve
     itself is memoized after the first iteration — identical rates hit
@@ -286,17 +274,13 @@ def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
             k = int(work // self._step)
             return self._rate * (1.0 + 0.1 * (k % 3)), (k + 1) * self._step
 
-    def build(mode: str) -> Machine:
-        machine = Machine(
-            MachineConfig(
-                n_cpus=n_lanes,
-                bus=BusConfig(
-                    solver_mode=mode,
-                    capacity_txus=BusConfig().capacity_txus * (n_lanes / 4.0),
-                ),
-            ),
-            Engine(),
+    def build(batched: bool) -> Machine:
+        config = MachineConfig(
+            n_cpus=n_lanes,
+            bus=BusConfig(capacity_txus=BusConfig().capacity_txus * (n_lanes / 4.0)),
         )
+        with forced(batched):
+            machine = Machine(config, Engine())
         for i in range(n_lanes):
             st = machine.add_thread(
                 f"t{i}", _Stepped(4.0 + (i % 13), 1_000.0),
@@ -308,11 +292,8 @@ def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
 
     iters = max(1, 20_000 // n_lanes)  # ~20k lane entry-builds per rep
     section = {"n_lanes": n_lanes, "iterations": iters, "best_of": reps}
-    for mode, key in (
-        ("newton", "scalar_us_per_1k_lanes"),
-        ("vector", "soa_us_per_1k_lanes"),
-    ):
-        machine = build(mode)
+    for batched, key in ((False, "scalar_us_per_1k_lanes"), (True, "soa_us_per_1k_lanes")):
+        machine = build(batched)
         best = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
@@ -327,6 +308,74 @@ def _entry_build_benchmark(n_lanes: int, reps: int = 3) -> dict:
         section["scalar_us_per_1k_lanes"] / section["soa_us_per_1k_lanes"], 2
     )
     return section
+
+
+def _crossover_benchmark(reps: int) -> dict:
+    """The tables behind ``_VECTOR_MIN_LANES`` and ``BATCH_MIN_CPUS``.
+
+    Both are CPU time (``time.process_time``), best of ``reps``, so a
+    busy neighbour on a shared box moves them less than wall clock.
+
+    * ``bus_lanes`` — per saturated solve (memo cache off, rates drifting
+      so every solve warm-starts), scalar loop ÷ numpy kernel;
+    * ``machine_cpus`` — whole runs of the scaled Quanta Window workload
+      (``n/8`` instances per app, two seeds, work scaled so every size
+      does similar total work), scalar pipeline ÷ batched pipeline,
+      each side forced. Above 1.0 the batched side is faster.
+    """
+    from repro.experiments.base import run_simulation
+    from repro.hw.bus import BusModel
+
+    def solve_us(n: int, batched: bool, solves: int = 300) -> float:
+        rng = random.Random(n)
+        base = [rng.choice([23.6, 23.6, 2.0, 5.0, 9.0, 14.0]) for _ in range(n)]
+        seqs = [
+            [r * (1.0 + 0.001 * ((k + i) % 7)) for i, r in enumerate(base)]
+            for k in range(solves)
+        ]
+        cap = BusConfig().capacity_txus * max(1.0, n / 4.0)
+        best = float("inf")
+        for _ in range(reps):
+            with forced(batched):
+                bus = BusModel(BusConfig(capacity_txus=cap, solve_cache_size=0))
+            reqs = [[bus.request_for_rate(r) for r in rates] for rates in seqs]
+            start = time.process_time()
+            for rq in reqs:
+                bus.solve(rq)
+            best = min(best, time.process_time() - start)
+        return best / solves * 1e6
+
+    lanes = {}
+    for n in (4, 8, 16, 32, 48, 64, 96, 128, 256):
+        s, v = solve_us(n, False), solve_us(n, True)
+        lanes[str(n)] = {"scalar_us": round(s, 1), "batched_us": round(v, 1),
+                         "scalar_over_batched": round(s / v, 2)}
+
+    def run_cpu_s(n: int, batched: bool) -> tuple[float, list]:
+        inst = max(1, n // 8)
+        scale = min(1.0, 0.05 * 256 / n)
+
+        def grid():
+            return [_scaled_spec(n, inst, scale, seed) for seed in (1, 2)]
+
+        with forced(batched):
+            return _best_of(reps, grid, lambda specs: [run_simulation(s) for s in specs],
+                            clock=time.process_time)
+
+    cpus = {}
+    for n in (4, 8, 12, 16, 24, 32, 64):
+        t_s, r_s = run_cpu_s(n, False)
+        t_b, r_b = run_cpu_s(n, True)
+        assert r_s == r_b, f"pipelines diverged at {n} CPUs"
+        cpus[str(n)] = {"scalar_s": round(t_s, 3), "batched_s": round(t_b, 3),
+                        "scalar_over_batched": round(t_s / t_b, 2)}
+    return {
+        "best_of": reps,
+        "vector_min_lanes": bus_module._VECTOR_MIN_LANES,
+        "batch_min_cpus": machine_module.BATCH_MIN_CPUS,
+        "bus_lanes": lanes,
+        "machine_cpus": cpus,
+    }
 
 
 def _multicore_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
@@ -364,10 +413,7 @@ def _multicore_benchmark(n_cpus: int, inst: int, scale: float, seed: int,
         return section
 
     def grid():
-        return [
-            _scaled_spec("vector", True, n_cpus, inst, scale, seed + i)
-            for i in range(jobs)
-        ]
+        return [_scaled_spec(n_cpus, inst, scale, seed + i) for i in range(jobs)]
 
     t_serial, r_serial = _best_of(1, grid, lambda s: run_many(s, jobs=1))
     t_par, r_par = _best_of(1, grid, lambda s: run_many(s, jobs=jobs))
@@ -408,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=str, default="BENCH_fig2.json")
     parser.add_argument(
         "--vector-cpus", type=int, default=256,
-        help="machine size for the scaled-up vectorized gate",
+        help="machine size for the scaled-up pipeline gate",
     )
     parser.add_argument(
         "--vector-inst", type=int, default=32,
@@ -416,15 +462,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--vector-scale", type=float, default=0.05,
-        help="work scale for the vectorized gate workload",
+        help="work scale for the pipeline gate workload",
     )
     parser.add_argument(
         "--best-of", type=int, default=2,
-        help="timing repetitions per vectorized variant (best wins)",
+        help="timing repetitions per pipeline (best wins)",
     )
     parser.add_argument(
         "--skip-vector", action="store_true",
-        help="skip the scaled-up vectorized section entirely",
+        help="skip the scaled-up pipeline section entirely",
+    )
+    parser.add_argument(
+        "--crossover", action="store_true",
+        help="also measure the lane-count and CPU-count crossover tables",
     )
     args = parser.parse_args(argv)
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
@@ -444,10 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     cached_results, variants["serial_cache_on"] = _run(
         args.set_name, _machine(cache=True), 1, args.scale, apps, args.seed
     )
-    newton_results, variants["serial_newton_warm"] = _run(
-        args.set_name, _machine(cache=True, solver="newton"), 1, args.scale,
-        apps, args.seed,
-    )
     parallel_results, variants["parallel_chunked"] = _run(
         args.set_name, _machine(cache=True), parallel_jobs, args.scale, apps,
         args.seed,
@@ -461,17 +507,15 @@ def main(argv: list[str] | None = None) -> int:
             "oversubscription, not speedup"
         )
 
-    # Correctness gates: chunked parallel must be exactly serial; neither
-    # the cache nor the newton solver may move any turnaround beyond
-    # solver tolerance.
+    # Correctness gates: chunked parallel must be exactly serial; the
+    # cache may not move any turnaround beyond solver tolerance.
     assert parallel_results == cached_results, "parallel diverged from serial"
     _assert_within_tolerance(base_results, cached_results, "cache")
-    _assert_within_tolerance(cached_results, newton_results, "newton solver")
 
-    vector_section = None
+    pipeline_section = None
     entry_build_section = None
     if not args.skip_vector:
-        vector_section = _vector_benchmark(
+        pipeline_section = _pipeline_benchmark(
             args.vector_cpus, args.vector_inst, args.vector_scale,
             args.seed, args.best_of,
         )
@@ -480,10 +524,10 @@ def main(argv: list[str] | None = None) -> int:
         args.vector_cpus, args.vector_inst, args.vector_scale, args.seed,
         jobs, cpu_count, affinity,
     )
+    crossover_section = _crossover_benchmark(5) if args.crossover else None
 
     base = variants["serial_cache_off"]
     cached = variants["serial_cache_on"]
-    newton = variants["serial_newton_warm"]
     par = variants["parallel_chunked"]
     report = {
         "experiment": f"fig2{args.set_name}",
@@ -495,40 +539,25 @@ def main(argv: list[str] | None = None) -> int:
         "affinity_cpus": affinity,
         "cgroup_cpu_quota": cgroup_cpu_quota(),
         "variants": variants,
-        "vectorized": vector_section,
+        "pipelines": pipeline_section,
         "entry_build": entry_build_section,
         "multicore": multicore_section,
-        "vector_speedup_vs_newton": (
-            vector_section["speedup_vs_newton"] if vector_section else None
-        ),
-        "bisection_reduction_pct": round(
+        "crossover": crossover_section,
+        "cache_step_reduction_pct": round(
             100.0 * (1.0 - cached["solver_steps"] / base["solver_steps"]), 1
         )
         if base["solver_steps"]
         else 0.0,
-        "newton_step_reduction_pct": round(
-            100.0 * (1.0 - newton["solver_steps"] / cached["solver_steps"]), 1
-        )
-        if cached["solver_steps"]
-        else 0.0,
         "cache_speedup_serial": round(
             base["wall_clock_s"] / cached["wall_clock_s"], 2
-        ),
-        "newton_speedup_vs_cached_serial": round(
-            cached["wall_clock_s"] / newton["wall_clock_s"], 2
         ),
         "parallel_speedup_vs_cached_serial": round(
             cached["wall_clock_s"] / par["wall_clock_s"], 2
         )
         if parallel_meaningful
         else None,
-        "total_speedup_vs_baseline": round(
-            base["wall_clock_s"] / par["wall_clock_s"], 2
-        )
-        if parallel_meaningful
-        else None,
         "bit_identical_serial_parallel": True,
-        "newton_within_tolerance": True,
+        "cache_within_tolerance": True,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

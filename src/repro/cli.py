@@ -195,15 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--solver", choices=["bisect", "newton", "vector"], default=None,
-        help=(
-            "bus solver mode override for 'fig2' and 'table1' (default: the "
-            "MachineConfig default); all three modes produce equivalent "
-            "physics — 'vector' additionally arms the numpy-batched settle "
-            "path and is bit-identical to 'newton' (see DESIGN.md)"
-        ),
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help=(
             "collect per-phase profiling (solver/settle/dispatch time, cache "
@@ -250,8 +241,7 @@ def _print_profile() -> None:
         print("[profile: no data collected]", file=sys.stderr)
         return
     solve_calls = agg.get("solve_calls", 0.0)
-    hits = agg.get("solve_cache_hits", 0.0) + agg.get("solve_shared_hits", 0.0)
-    hit_rate = hits / solve_calls if solve_calls else 0.0
+    hit_rate = agg.get("solve_cache_hits", 0.0) / solve_calls if solve_calls else 0.0
     settles = agg.get("settle_calls", 0.0)
     skip_rate = agg.get("solve_skips", 0.0) / settles if settles else 0.0
     print("[profile]", file=sys.stderr)
@@ -272,18 +262,6 @@ def _apps_arg(args: argparse.Namespace) -> list[str] | None:
     if args.apps is None:
         return None
     return [a.strip() for a in args.apps.split(",") if a.strip()]
-
-
-def _machine_arg(args: argparse.Namespace):
-    """A MachineConfig honouring --solver, or None for the default."""
-    if args.solver is None:
-        return None
-    from dataclasses import replace
-
-    from .config import MachineConfig
-
-    base = MachineConfig()
-    return replace(base, bus=replace(base.bus, solver_mode=args.solver))
 
 
 def _run_calibration(args: argparse.Namespace) -> None:
@@ -314,9 +292,8 @@ def _run_fig2(args: argparse.Namespace) -> None:
     sets = ["A", "B", "C"] if args.set_name == "all" else [args.set_name]
     for set_name in sets:
         rows = run_fig2(
-            set_name, machine=_machine_arg(args), seed=args.seed,
-            work_scale=args.scale, apps=_apps_arg(args),
-            jobs=args.jobs, progress=_progress(args),
+            set_name, seed=args.seed, work_scale=args.scale,
+            apps=_apps_arg(args), jobs=args.jobs, progress=_progress(args),
         )
         print(format_fig2(set_name, rows))
         print()
@@ -328,7 +305,7 @@ def _run_table1(args: argparse.Namespace) -> None:
 
     results = {
         s: run_fig2(
-            s, machine=_machine_arg(args), seed=args.seed, work_scale=args.scale,
+            s, seed=args.seed, work_scale=args.scale,
             apps=_apps_arg(args), jobs=args.jobs,
         )
         for s in ("A", "B", "C")

@@ -114,34 +114,11 @@ class BusConfig:
         fairly (ablation ABL-A).
     fixed_point_tol:
         Convergence tolerance of the latency equilibrium search.
-    solver_mode:
-        Root-finding strategy of the saturation equilibrium search.
-        ``"bisect"`` (default) — pure interval bisection from the cold
-        ``[lam_c, 2^k·lam_c]`` bracket, the reference implementation.
-        ``"newton"`` — guarded Newton iteration with an analytic
-        derivative, warm-started from the model's previous saturated
-        equilibrium (the running set drifts little between adjacent
-        quanta, so the previous root is an excellent seed); any step
-        leaving the known bracket falls back to bisection. Both modes
-        converge to the same root within ``fixed_point_tol``
-        (``tests/hw/test_bus_newton.py`` proves the equivalence on
-        randomized workloads); newton typically needs ~5× fewer
-        throughput evaluations.
-        ``"vector"`` — the same guarded-Newton iteration with every
-        per-lane evaluation batched into numpy array operations (one
-        elementwise kernel per iteration instead of a Python loop over
-        lanes). The array kernels evaluate the identical IEEE-754
-        expressions with sequential (``cumsum``) reductions, so vector
-        mode is *bitwise identical* to newton mode
-        (``tests/hw/test_bus_vector.py``) — it is the fast path, newton
-        the scalar A/B reference. Selecting vector mode also arms the
-        vectorized settle loop and dirty-mask entry reuse in
-        :class:`repro.hw.machine.Machine`.
     solve_cache_size:
         Capacity (entries) of the LRU memo cache inside
         :meth:`repro.hw.bus.BusModel.solve`, keyed on the canonicalized
         multiset of quantized requests. Running-thread sets recur every
-        scheduling cycle, so a small cache removes most bisection work.
+        scheduling cycle, so a small cache removes most root-finder work.
         ``0`` disables memoization (every solve recomputes).
     """
 
@@ -152,7 +129,6 @@ class BusConfig:
     unfairness: float = 1.1
     arbitration: str = "shared-latency"
     fixed_point_tol: float = 1e-10
-    solver_mode: str = "bisect"
     solve_cache_size: int = 1024
 
     def __post_init__(self) -> None:
@@ -166,10 +142,6 @@ class BusConfig:
             f"unknown arbitration model {self.arbitration!r}",
         )
         _require(0 < self.fixed_point_tol < 1e-2, "fixed_point_tol out of range")
-        _require(
-            self.solver_mode in ("bisect", "newton", "vector"),
-            f"unknown solver mode {self.solver_mode!r}",
-        )
         _require(self.solve_cache_size >= 0, "solve_cache_size must be >= 0")
 
     def to_dict(self) -> dict[str, Any]:

@@ -41,29 +41,23 @@ latency is determined by two regimes:
   delivers its full sustained bandwidth, as STREAM demonstrates on the real
   platform. ``Σ a_i(lam)`` is strictly decreasing (and convex: every term
   is ``r_i / (A_i + B_i·lam)`` with ``B_i >= 0``) in ``lam``, so this
-  equilibrium is unique. Two interchangeable root finders are provided,
-  selected by :attr:`repro.config.BusConfig.solver_mode`:
+  equilibrium is unique, and one root finder solves it: guarded Newton
+  with the analytic derivative, warm-started from this model's
+  *previous* saturated equilibrium (the running set changes little
+  between adjacent scheduling quanta, so the previous root is an
+  excellent seed). Convexity makes every Newton iterate a lower bound on
+  the root, so the iteration converges monotonically; any step that
+  leaves the known bracket falls back to a bisection step.
 
-  * ``"bisect"`` (default) — grow a bracket from ``lam_c`` by doubling,
-    then bisect: the reference implementation.
-  * ``"newton"`` — guarded Newton with the analytic derivative,
-    warm-started from this model's *previous* saturated equilibrium (the
-    running set changes little between adjacent scheduling quanta, so the
-    previous root is an excellent seed). Convexity makes every Newton
-    iterate a lower bound on the root, so the iteration converges
-    monotonically; any step that leaves the known bracket falls back to a
-    bisection step. Both modes agree within ``fixed_point_tol``.
-  * ``"vector"`` — the newton iteration with all per-lane arithmetic
-    batched into numpy array kernels: one elementwise evaluation per
-    Newton step instead of a Python loop over lanes. The kernels compute
-    the *identical* IEEE-754 expression sequence (elementwise ``+ - × ÷``
-    round once, exactly like CPython floats) and reduce with ``cumsum``
-    (a strictly left-to-right scan, unlike ``np.sum``'s pairwise tree),
-    so every vector solve is **bitwise identical** to the newton solve it
-    replaces; below :data:`_VECTOR_MIN_LANES` lanes the scalar newton
-    loop runs instead (array-kernel launch overhead beats the loop there,
-    and the results are bit-equal either way). Lanes processed through
-    the batched kernels are counted on :attr:`BusModel.batched_lanes`.
+  Wide solves (at least :data:`_VECTOR_MIN_LANES` requests) run the same
+  iteration with every per-lane evaluation batched into numpy kernels.
+  The kernels compute the *identical* IEEE-754 expression sequence
+  (elementwise ``+ - × ÷`` round once, exactly like CPython floats) and
+  reduce with ``cumsum`` (a strictly left-to-right scan, unlike
+  ``np.sum``'s pairwise tree), so a batched solve is **bitwise
+  identical** to the scalar loop it replaces. Which kernel runs is a
+  pure cost decision made from the lane count; lanes processed through
+  the batched kernels are counted on :attr:`BusModel.batched_lanes`.
 
 Consequences (all matching Section 3 of the paper by construction):
 
@@ -83,25 +77,13 @@ All rates are piecewise constant between machine reconfigurations, so one
 thousands of times and the same running-thread sets recur every scheduling
 cycle, so ``solve`` keeps an LRU memo cache keyed on the canonicalized
 (sorted) multiset of quantized ``(rate, mem_fraction)`` pairs. A hit skips
-the bisection entirely and returns the stored equilibrium with the grants
+the root search entirely and returns the stored equilibrium with the grants
 matched back to the caller's request order (identical requests receive
 identical grants under both arbitration models, so the match is exact).
 Hit/miss accounting is surfaced via :attr:`BusModel.solve_calls`,
-:attr:`BusModel.cache_hits` and :attr:`BusModel.bisection_steps` (which
-counts throughput evaluations in *both* solver modes) for the performance
-harness (``benchmarks/bench_perf.py``).
-
-A second, process-wide cache layer — the *shared solve cache* — can be
-installed with :func:`install_shared_solve_cache`. The chunked parallel
-dispatcher (:func:`repro.parallel.run_many`) installs one per worker chunk
-so consecutive simulations of the same experiment grid reuse each other's
-equilibria. Entries are keyed by the full :class:`~repro.config.BusConfig`
-plus the *ordered* request sequence, and only the default ``"bisect"``
-mode participates: an exact-order bisect solve is a pure function of
-(config, requests), so a shared hit is bitwise identical to the solve it
-replaces — results stay bit-identical no matter how specs are chunked.
-(The newton mode's warm start makes its last-ulp output depend on the
-model's solve history, so it never reads or writes the shared layer.)
+:attr:`BusModel.cache_hits` and :attr:`BusModel.bisection_steps` (the
+root finder's throughput evaluations) for the performance harness
+(``benchmarks/bench_perf.py``).
 """
 
 from __future__ import annotations
@@ -122,11 +104,7 @@ __all__ = [
     "ThreadGrant",
     "BusSolution",
     "BusModel",
-    "SharedSolveCache",
     "derive_mem_fraction",
-    "install_shared_solve_cache",
-    "clear_shared_solve_cache",
-    "shared_solve_cache",
 ]
 
 #: Decimal places of the solve-cache key quantization. Exact matching on
@@ -135,54 +113,15 @@ __all__ = [
 #: still collapsing bit-level noise from request-order permutations.
 _CACHE_DECIMALS = 12
 
-#: Minimum lane count for the ``"vector"`` solver's numpy kernels. Below
-#: this, per-call array construction costs more than the scalar loop it
-#: replaces; the scalar newton path runs instead (bit-equal either way).
-_VECTOR_MIN_LANES = 4
-
-
-class SharedSolveCache:
-    """Process-wide cross-run solve memo (see module docstring).
-
-    Entries map ``(BusConfig, ordered quantized request sequence)`` to a
-    ``(solution, grant_map)`` pair. Hits require the *exact* request order
-    of the original solve: the bisection sums floats in request order, so
-    only same-order replays are guaranteed bitwise identical to a fresh
-    computation. Permuted recurrences still hit each model's local LRU.
-    """
-
-    __slots__ = ("data", "size", "hits", "stores")
-
-    def __init__(self, size: int = 8192) -> None:
-        if size <= 0:
-            raise ValueError(f"shared cache size must be positive, got {size}")
-        self.data: OrderedDict[tuple, tuple[BusSolution, dict]] = OrderedDict()
-        self.size = size
-        self.hits = 0
-        self.stores = 0
-
-
-#: The ambient shared cache consulted by every BusModel in this process
-#: (``None`` = layer disabled, the default outside chunked workers).
-_SHARED_CACHE: SharedSolveCache | None = None
-
-
-def install_shared_solve_cache(size: int = 8192) -> SharedSolveCache:
-    """Install (replacing any previous) the process-wide solve cache."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = SharedSolveCache(size)
-    return _SHARED_CACHE
-
-
-def clear_shared_solve_cache() -> None:
-    """Remove the process-wide solve cache (models fall back to local LRUs)."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = None
-
-
-def shared_solve_cache() -> SharedSolveCache | None:
-    """The currently installed process-wide solve cache, if any."""
-    return _SHARED_CACHE
+#: Lane count from which :meth:`BusModel.solve` evaluates lanes with the
+#: batched numpy kernels instead of the scalar loop (bit-equal either
+#: way; a pure cost choice). Each numpy call costs about 1 µs however
+#: short its arrays, so the kernels only win on wide solves: per
+#: saturated solve, scalar time ÷ batched time measured 0.24–0.25 at 4
+#: lanes, 0.48–0.76 at 32, 0.93–1.66 at 48, 1.05–1.65 at 64 and
+#: 1.21–1.64 at 256 (three sweeps; full table in DESIGN.md, "One root
+#: finder"; ``python benchmarks/bench_perf.py --crossover`` re-measures).
+_VECTOR_MIN_LANES = 64
 
 
 def derive_mem_fraction(rate_txus: float, lam0_us: float, mem_exponent: float = 0.65) -> float:
@@ -281,7 +220,7 @@ class BusSolution:
     latency_us: float
     total_txus: float
     saturated: bool = False
-    #: Vector mode only: the grants' speed / actual columns as float64
+    #: Batched solves only: the grants' speed / actual columns as float64
     #: arrays (same bit patterns as the ``grants`` fields, request order).
     #: ``None`` whenever the order guarantee cannot hold (scalar solves,
     #: reordered memo hits). Observability of the batched kernel, excluded
@@ -326,28 +265,21 @@ class BusModel:
         self._c = config.contention_coeff
         self._alpha = config.mem_exponent
         self._tol = config.fixed_point_tol
-        # "vector" is the newton iteration with batched lane evaluation:
-        # it shares the warm-start slot, the shared-cache exclusion and the
-        # saturation search; only the per-lane arithmetic differs (numpy
-        # kernels, bitwise identical — see module docstring).
-        self._newton = config.solver_mode in ("newton", "vector")
-        self._vector = config.solver_mode == "vector"
+        # Kernel crossover, fixed per model at construction like the
+        # machine's pipeline choice.
+        self._vector_min_lanes = _VECTOR_MIN_LANES
         # Warm-start slot: the previous *saturated* equilibrium latency of
         # this model (per machine, distinct from the LRU memo below). The
         # running set drifts little between adjacent quanta, so it seeds
-        # the newton search within a few ulps of the next root.
+        # the Newton search within a few ulps of the next root.
         self._last_lam: float | None = None
         self._solve_calls = 0
         self._cache_hits = 0
-        self._shared_hits = 0
         self._warm_starts = 0
         self._bisection_steps = 0
         self._batched_lanes = 0
         self._solve_time_s = 0.0
         self._profiling = False
-        # Only the bisect mode may use the cross-run shared cache: its
-        # solve is a pure function of (config, ordered requests).
-        self._shared_ok = not self._newton and config.solve_cache_size > 0
         # solve() memo: canonical multiset key -> (key sequence in the
         # miss's request order, solution, quantized request -> grant).
         self._cache: OrderedDict[
@@ -389,11 +321,6 @@ class BusModel:
         return len(self._cache)
 
     @property
-    def shared_hits(self) -> int:
-        """``solve`` invocations answered from the process-wide shared cache."""
-        return self._shared_hits
-
-    @property
     def warm_starts(self) -> int:
         """Newton searches seeded from this model's previous equilibrium."""
         return self._warm_starts
@@ -402,18 +329,18 @@ class BusModel:
     def bisection_steps(self) -> int:
         """Aggregate throughput evaluations spent in saturation searches.
 
-        Counts evaluations in both solver modes (the name is historical);
-        it is the work the memo caches and the newton path exist to cut.
+        The name is historical (the root finder is guarded Newton); it is
+        the work the memo cache and the warm start exist to cut.
         """
         return self._bisection_steps
 
     @property
     def batched_lanes(self) -> int:
-        """Lanes evaluated through the vector mode's numpy kernels.
+        """Lanes evaluated through the batched numpy kernels.
 
-        Incremented by the lane count of every shared-latency solve that
-        took the batched path (``solver_mode="vector"`` and at least
-        :data:`_VECTOR_MIN_LANES` requests); zero in the scalar modes.
+        Incremented by the lane count of every shared-latency solve with
+        at least :data:`_VECTOR_MIN_LANES` requests; zero for narrower
+        solves, which run the scalar loop.
         """
         return self._batched_lanes
 
@@ -529,19 +456,6 @@ class BusModel:
                     speeds_arr=None,
                     actuals_arr=None,
                 )
-        shared = _SHARED_CACHE if (self._shared_ok and key is not None) else None
-        if shared is not None:
-            skey = (self._cfg, key_seq)
-            sentry = shared.data.get(skey)
-            if sentry is not None:
-                shared.data.move_to_end(skey)
-                shared.hits += 1
-                self._shared_hits += 1
-                solution, grant_map = sentry
-                self._cache[key] = (key_seq, solution, grant_map)
-                if len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-                return solution
         if self._cfg.arbitration == "max-min":
             solution = self._solve_max_min(requests)
         else:
@@ -553,11 +467,6 @@ class BusModel:
             self._cache[key] = (key_seq, solution, grant_map)
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-            if shared is not None:
-                shared.data[(self._cfg, key_seq)] = (solution, grant_map)
-                shared.stores += 1
-                if len(shared.data) > shared.size:
-                    shared.data.popitem(last=False)
         return solution
 
     # ------------------------------------------------------------------
@@ -568,7 +477,7 @@ class BusModel:
         """Hoist the per-request constants of :meth:`speed_at_latency`.
 
         Returns ``(rate, m, 1-m, 1 + beta·(1-m))`` per request — everything
-        the bisection loop needs that does not depend on ``lam``. The
+        the root search needs that does not depend on ``lam``. The
         arithmetic below reproduces :meth:`speed_at_latency` expression by
         expression, so hoisting changes nothing bit-for-bit.
         """
@@ -633,13 +542,13 @@ class BusModel:
         ``lam`` (see :meth:`_throughput_grad_hoisted`), hence every Newton
         iterate is a *lower bound* on the root: the iteration climbs
         monotonically and terminates when a step falls below the solver
-        tolerance — the same ``fixed_point_tol·lam0`` resolution the
-        bisection stops at. A guard keeps every iterate inside the known
-        ``(lo, hi)`` bracket, falling back to a bisection step (or bracket
-        doubling while ``hi`` is unknown) whenever Newton would leave it.
+        tolerance ``fixed_point_tol·lam0``. A guard keeps every iterate
+        inside the known ``(lo, hi)`` bracket, falling back to a bisection
+        step (or bracket doubling while ``hi`` is unknown) whenever Newton
+        would leave it.
 
         ``grad_eval`` substitutes the throughput/derivative evaluation —
-        the vector mode passes its batched numpy kernel, which returns the
+        wide solves pass the batched numpy kernel, which returns the
         bitwise-identical values, so the iterate sequence is unchanged.
 
         Returns ``(root, evaluations)``.
@@ -696,29 +605,12 @@ class BusModel:
             total += a
         return tuple(grants), total
 
-    def _throughput(self, requests: Sequence[BusRequest], lam: float) -> float:
-        """Aggregate actual rate if every thread saw latency ``lam``."""
-        total = 0.0
-        for req in requests:
-            total += req.rate_txus * self.speed_at_latency(req, lam)
-        return total
-
-    def _grants_at(self, requests: Sequence[BusRequest], lam: float) -> tuple[tuple[ThreadGrant, ...], float]:
-        grants = []
-        total = 0.0
-        for req in requests:
-            s = self.speed_at_latency(req, lam)
-            a = req.rate_txus * s
-            grants.append(ThreadGrant(speed=s, actual_txus=a))
-            total += a
-        return tuple(grants), total
-
-    # ---------------------------------------------------- vector lane batch
+    # ---------------------------------------------------- batched lane kernel
 
     def _vector_lanes(
         self, requests: Sequence[BusRequest]
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Hoist per-request constants into lane arrays (vector mode).
+        """Hoist per-request constants into lane arrays (batched kernel).
 
         Array analogue of :meth:`_speed_params`: one float64 slot per lane
         for ``r``, ``m``, ``1-m`` and ``1 + beta·(1-m)``, built with the
@@ -740,14 +632,14 @@ class BusModel:
     def _solve_shared_latency_vector(self, requests: Sequence[BusRequest]) -> BusSolution:
         """Shared-latency equilibrium with numpy-batched lane evaluation.
 
-        Control flow is the newton solve verbatim — sub-saturation check,
+        Control flow is the scalar solve verbatim — sub-saturation check,
         guarded-Newton saturation search, grant fold — with every per-lane
         Python loop replaced by one elementwise kernel over the lane
         arrays. Reductions use ``cumsum`` (strictly left-to-right, the
         accumulation order of the scalar loops; ``np.sum``'s pairwise tree
         would round differently), and ``tolist()`` hands back the exact
         float64 bit patterns, so the returned :class:`BusSolution` is
-        bitwise identical to the scalar newton mode's.
+        bitwise identical to the scalar loop's.
         """
         self._batched_lanes += len(requests)
         cap = self._capacity
@@ -800,7 +692,7 @@ class BusModel:
     # ------------------------------------------------------------------
 
     def _solve_shared_latency(self, requests: Sequence[BusRequest]) -> BusSolution:
-        if self._vector and len(requests) >= _VECTOR_MIN_LANES:
+        if len(requests) >= self._vector_min_lanes:
             return self._solve_shared_latency_vector(requests)
         cap = self._capacity
         offered = 0.0
@@ -814,39 +706,11 @@ class BusModel:
             grants, total = self._grants_at_hoisted(params, lam_c)
             return BusSolution(grants, total / cap, lam_c, total, saturated=False)
         # Saturation: find lam with throughput(lam) = capacity. Throughput
-        # is strictly decreasing in lam (every request here has m > 0,
-        # otherwise throughput could not exceed capacity ... a thread with
-        # m == 0 contributes a constant term, which is fine: the remaining
-        # threads absorb the slowdown).
-        if self._newton:
-            lam, steps = self._saturation_root_newton(params, lam_c, cap)
-            self._bisection_steps += steps
-            self._last_lam = lam
-            grants, total = self._grants_at_hoisted(params, lam)
-            return BusSolution(grants, 1.0, lam, total, saturated=True)
-        steps = 0
-        lo = lam_c
-        hi = lam_c * 2.0
-        for _ in range(200):
-            steps += 1
-            if self._throughput_hoisted(params, hi) < cap:
-                break
-            hi *= 2.0
-        else:  # pragma: no cover - pathological (all m == 0)
-            self._bisection_steps += steps
-            grants, total = self._grants_at_hoisted(params, hi)
-            return BusSolution(grants, 1.0, hi, total, saturated=True)
-        for _ in range(200):
-            steps += 1
-            mid = 0.5 * (lo + hi)
-            if self._throughput_hoisted(params, mid) > cap:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < self._tol * self._lam0:
-                break
+        # is strictly decreasing in lam (a thread with m == 0 contributes
+        # a constant term, which is fine: the remaining threads absorb the
+        # slowdown).
+        lam, steps = self._saturation_root_newton(params, lam_c, cap)
         self._bisection_steps += steps
-        lam = 0.5 * (lo + hi)
         self._last_lam = lam
         grants, total = self._grants_at_hoisted(params, lam)
         return BusSolution(grants, 1.0, lam, total, saturated=True)

@@ -35,10 +35,19 @@ Every per-thread scalar the hot loops touch lives in a
 :class:`repro.hw.store.ThreadStore` row (``row == tid - 1``);
 :class:`ThreadState` is an index-backed view over that row, so the object
 API policies/audit/faults/tests use and the arrays the batched loops use
-are the same storage. With ``solver_mode="vector"`` (and no SMT coupling)
-the machine runs fully batched passes over the store — lane entry build,
-advance, horizon scan, transition detection — each bit-identical to the
-scalar reference loops kept for the other solver modes.
+are the same storage.
+
+Two settle pipelines
+--------------------
+Small machines run the *scalar* pipeline: per-lane Python loops over
+:class:`_Lane` objects. Large machines without SMT coupling
+(``smt_ways == 1`` and at least :data:`BATCH_MIN_CPUS` logical CPUs) run
+the *batched* pipeline: fully vectorized passes over the store — lane
+entry build, advance, horizon scan, transition detection. The two are
+bit-identical; which one runs is a pure cost decision made from the
+machine size (numpy call overhead loses to a short Python loop on a
+4-CPU machine). SMT machines always take the scalar pipeline, because
+the sibling-efficiency factor couples lanes across cores.
 """
 
 from __future__ import annotations
@@ -63,6 +72,17 @@ __all__ = ["DemandProcess", "Machine", "ThreadState"]
 
 #: Absolute tolerance (in work-µs / lines) for snapping to transitions.
 _SNAP = 1e-6
+
+#: Logical-CPU count from which a machine without SMT runs the batched
+#: pipeline (see module docstring). Whole-run CPU time, scalar ÷
+#: batched, on ``benchmarks/bench_perf.py``'s scaled Quanta Window
+#: workload measured 0.70–1.00 at 4 CPUs, 0.82–1.01 at 8, 1.13–1.60 at
+#: 12, 1.10–2.00 at 16 and 1.41–2.09 at 32 (three sweeps), and the
+#: paper's own 4-CPU Figure 2 grid runs 1.3× slower batched. An earlier
+#: sizing on the same box found parity (1.01) at 12, so the threshold is
+#: the next size up. Full table in DESIGN.md, "One root finder";
+#: ``python benchmarks/bench_perf.py --crossover`` re-measures.
+BATCH_MIN_CPUS = 16
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0)
@@ -286,7 +306,8 @@ class _Lane:
 
     Holds the :class:`ThreadState` directly (not just the tid) so the
     integration and horizon loops skip a dict lookup per lane per event.
-    Scalar-path structure; the SoA path keeps lane columns as arrays.
+    Scalar-pipeline structure; the batched pipeline keeps lane columns as
+    arrays.
     """
 
     __slots__ = ("state", "speed", "progress_rate", "tx_rate", "fill_rate", "seg_end")
@@ -334,9 +355,9 @@ class Machine:
         self.bus = BusModel(config.bus)
         self.counters = CounterBank()
         #: Struct-of-arrays backing store for every thread's hot scalars
-        #: (``row == tid - 1``). Maintained in every solver mode — the
+        #: (``row == tid - 1``). Maintained by both pipelines — the
         #: ThreadState views write through to it — so readers (schedulers,
-        #: the manager) may use it regardless of the solve path.
+        #: the manager) may use it regardless of the settle path.
         self.store = ThreadStore()
         # Schedulers see logical CPUs; SMT siblings share a core and its L2.
         self.cpus = [Cpu(i) for i in range(config.n_logical_cpus)]
@@ -346,26 +367,22 @@ class Machine:
         self._dirty = True
         self._lanes: list[_Lane] = []
         self._lane_sig: tuple | None = None
-        # Vector mode ("vector" bus solver) arms the machine's batched hot
-        # path. SMT couples cores through the sibling factor, so the fully
-        # batched SoA pipeline requires smt_ways == 1; vector machines with
-        # SMT still get the batched bus solve + advance mirror. All fast
-        # paths are bitwise identical to the scalar reference kept for
-        # "newton"/"bisect".
-        self._vector = config.bus.solver_mode == "vector"
-        self._soa = self._vector and config.smt_ways == 1
+        # The batched (SoA) pipeline, chosen by machine size; SMT couples
+        # cores through the sibling factor, so it requires smt_ways == 1.
+        self._soa = (
+            config.smt_ways == 1 and config.n_logical_cpus >= BATCH_MIN_CPUS
+        )
         # CPU occupancy mirror: _cpu_tid[cpu_id] == tid or -1. Updated by
-        # _set_cpu_thread alongside the Cpu objects in every mode.
+        # _set_cpu_thread alongside the Cpu objects in both pipelines.
         self._cpu_tid = np.full(config.n_logical_cpus, -1, dtype=np.int64)
         # Ready queue: tids that are runnable and not on any CPU, i.e. the
         # candidates a scheduler's O(n) pick scan actually considers.
         # Maintained incrementally at every lifecycle edge (dispatch,
-        # block, I/O, finish); vector-mode schedulers iterate this instead
-        # of rescanning all threads.
+        # block, I/O, finish); schedulers iterate this instead of
+        # rescanning all threads.
         self._ready: set[int] = set()
         self._ready_sorted: list[int] | None = None
-        # Vector mode: memoized runnable list/rows (see runnable_threads).
-        self._use_runnable_cache = self._vector
+        # Memoized runnable list, batched pipeline only (runnable_threads).
         self._runnable_cache: list[ThreadState] | None = None
         self._runnable_rows: np.ndarray | None = None
         self._dirty_mask_hits = 0
@@ -380,7 +397,6 @@ class Machine:
         self._soa_sig: tuple | None = None
         self._adv_pr: np.ndarray | None = None
         self._adv_tx: np.ndarray | None = None
-        self._adv_caches: list[CacheL2] = []
         self._adv_cacc: list[tuple[CacheL2, int, float]] = []
         self._adv_crows = _EMPTY_ROWS
         # Cached absolute horizon. While the configuration is unchanged,
@@ -453,12 +469,12 @@ class Machine:
 
     @property
     def dirty_mask_hits(self) -> int:
-        """Lane entries served from the store's segment cache (SoA mode).
+        """Lane entries served from the store's segment cache (batched).
 
         Counts occupied CPUs whose demand segment was reused from the
         per-thread ``seg_rate``/``seg_end`` store columns during an entry
         rebuild — the ``demand.segment()`` call the SoA pass avoided.
-        Always zero in the scalar solver modes.
+        Always zero on the scalar pipeline.
         """
         return self._dirty_mask_hits
 
@@ -479,7 +495,6 @@ class Machine:
             "dispatch_time_s": self._dispatch_time_s,
             "solve_calls": float(bus.solve_calls),
             "solve_cache_hits": float(bus.cache_hits),
-            "solve_shared_hits": float(bus.shared_hits),
             "solve_warm_starts": float(bus.warm_starts),
             "solve_steps": float(bus.bisection_steps),
             "batched_lanes": float(bus.batched_lanes),
@@ -579,8 +594,8 @@ class Machine:
         """Threads eligible for dispatch (unfinished, unblocked), by tid.
 
         One vectorized mask over the store (finished | blocked | in_io)
-        replaces the per-thread attribute scan. Vector mode memoizes the
-        list: membership only changes when a thread is added, finishes,
+        replaces the per-thread attribute scan. The batched pipeline
+        memoizes the list: membership only changes when a thread is added, finishes,
         blocks/unblocks, or enters/leaves I/O — each of those paths drops
         the memo, so a hit returns the same threads (same tid order) the
         scan would.
@@ -591,7 +606,7 @@ class Machine:
         n = len(self._threads)
         mask = ~(s.finished[:n] | s.blocked[:n] | s.in_io[:n])
         out = [t for t, ok in zip(self._threads.values(), mask.tolist()) if ok]
-        if self._use_runnable_cache:
+        if self._soa:
             self._runnable_cache = out
         return out
 
@@ -650,11 +665,7 @@ class Machine:
 
     @property
     def soa_store(self) -> ThreadStore | None:
-        """The store when the fully batched SoA path is armed, else ``None``.
-
-        Schedulers gate their own vectorized scans on this so the scalar
-        solver modes keep exercising the reference code paths.
-        """
+        """The store when the batched (SoA) pipeline is armed, else ``None``."""
         return self.store if self._soa else None
 
     def all_finished(self) -> bool:
@@ -949,81 +960,21 @@ class Machine:
         sig = tuple((st.tid, r_eff, fill, pf, seg_end) for st, r_eff, fill, pf, seg_end in entries)
         if sig == self._lane_sig:
             self._solve_skips += 1
-            if self._vector:
-                # The signature does not encode CPU ids, so a migration can
-                # leave it unchanged (e.g. a lone running thread moving
-                # cores). The scalar advance reads ``st.cpu`` live; the
-                # vectorized advance uses the cache handles captured here,
-                # so refresh them before reusing the lanes.
-                self._adv_caches = [
-                    self.cache_of(lane.state.cpu) for lane in self._lanes
-                ]
             self._dirty = False
             return
         self._lane_rebuilds += 1
         lanes: list[_Lane] = []
         requests: list[BusRequest] = []
-        n = len(entries)
-        if self._vector:
-            reff_arr = np.empty(n)
-            fill_arr = np.empty(n)
-            pf_arr = np.empty(n)
-            for i, (st, r_eff, fill, pf, seg_end) in enumerate(entries):
-                requests.append(self.bus.request_for_rate(r_eff))
-                lanes.append(_Lane(st, 0.0, pf, 0.0, fill, seg_end))
-                reff_arr[i] = r_eff
-                fill_arr[i] = fill
-                pf_arr[i] = pf
-        else:
-            for st, r_eff, fill, pf, seg_end in entries:
-                requests.append(self.bus.request_for_rate(r_eff))
-                lanes.append(_Lane(st, 0.0, pf, 0.0, fill, seg_end))
+        for st, r_eff, fill, pf, seg_end in entries:
+            requests.append(self.bus.request_for_rate(r_eff))
+            lanes.append(_Lane(st, 0.0, pf, 0.0, fill, seg_end))
         solution = self.bus.solve(requests)
-        sp_arr = solution.speeds_arr
-        if self._vector and sp_arr is not None and len(sp_arr) == n:
-            # Batched grant fold: the solution's lane arrays carry the
-            # exact grant bit patterns in request order, so the fold is
-            # elementwise — speed·pf for progress, actual·(fill/r_eff)
-            # for the refill stream (divide masked to the lanes the
-            # scalar fold would touch). One pass writes the lane fields
-            # and the structure-of-arrays advance mirror together.
-            ac_arr = solution.actuals_arr
-            pr_arr = sp_arr * pf_arr
-            mask = (reff_arr > 0.0) & (fill_arr > 0.0)
-            ratio = np.divide(
-                fill_arr, reff_arr, out=np.zeros(n), where=mask
-            )
-            fill_new = np.where(mask, ac_arr * ratio, fill_arr)
-            sp_l = sp_arr.tolist()
-            pr_l = pr_arr.tolist()
-            tx_l = ac_arr.tolist()
-            fl_l = fill_new.tolist()
-            for i, lane in enumerate(lanes):
-                lane.speed = sp_l[i]
-                lane.progress_rate = pr_l[i]
-                lane.tx_rate = tx_l[i]
-                lane.fill_rate = fl_l[i]
-            self._adv_pr = pr_arr
-            self._adv_tx = ac_arr
-            self._adv_caches = [self.cache_of(lane.state.cpu) for lane in lanes]
-        else:
-            for lane, grant, req in zip(lanes, solution.grants, requests):
-                lane.speed = grant.speed
-                lane.progress_rate = grant.speed * lane.progress_rate  # pf folded in
-                lane.tx_rate = grant.actual_txus
-                if req.rate_txus > 0.0 and lane.fill_rate > 0.0:
-                    lane.fill_rate = grant.actual_txus * (lane.fill_rate / req.rate_txus)
-            if self._vector:
-                # Scalar fold (few lanes, or a reordered memo hit dropped
-                # the arrays): build the advance mirror from the lanes.
-                pr = np.empty(n)
-                tx = np.empty(n)
-                for i, lane in enumerate(lanes):
-                    pr[i] = lane.progress_rate
-                    tx[i] = lane.tx_rate
-                self._adv_pr = pr
-                self._adv_tx = tx
-                self._adv_caches = [self.cache_of(lane.state.cpu) for lane in lanes]
+        for lane, grant, req in zip(lanes, solution.grants, requests):
+            lane.speed = grant.speed
+            lane.progress_rate = grant.speed * lane.progress_rate  # pf folded in
+            lane.tx_rate = grant.actual_txus
+            if req.rate_txus > 0.0 and lane.fill_rate > 0.0:
+                lane.fill_rate = grant.actual_txus * (lane.fill_rate / req.rate_txus)
         self._lanes = lanes
         self._lane_sig = sig
         self._bus_utilisation = solution.utilisation
@@ -1037,8 +988,8 @@ class Machine:
         the cached segment rate/end equal the fresh ``demand.segment()``
         values (deterministic process, monotone queries), ``rate + 0.0``
         and the skipped ``× 1.0`` SMT fold are float identities for the
-        non-negative rates involved, and the grant fold reuses the exact
-        arrays/expressions of the scalar vector path.
+        non-negative rates involved, and the grant fold evaluates the
+        scalar fold's expressions elementwise.
         """
         s = self.store
         occ = self._cpu_tid
@@ -1093,8 +1044,8 @@ class Machine:
             self._solve_skips += 1
             # CPU ids are not in the signature, so a migration can skip
             # the solve yet move lanes across caches — refresh the cache
-            # handles from the store's live placement (the SoA port of
-            # the stale-_adv_caches-on-migration fix).
+            # handles from the store's live placement (the scalar advance
+            # reads ``st.cpu`` live).
             self._bind_lane_handles(rows)
             self._dirty = False
             return
@@ -1105,9 +1056,9 @@ class Machine:
         if sp is not None and len(sp) == n:
             ac = solution.actuals_arr
         else:
-            # Scalar solve (few lanes) or a reordered memo hit dropped the
-            # arrays: lift the grant columns; the fold below is then the
-            # same expressions the scalar fold evaluates per lane.
+            # Scalar bus kernel (few lanes) or a reordered memo hit dropped
+            # the arrays: lift the grant columns; the fold below is then
+            # the same expressions the scalar fold evaluates per lane.
             sp = np.fromiter((g.speed for g in solution.grants), dtype=np.float64, count=n)
             ac = np.fromiter(
                 (g.actual_txus for g in solution.grants), dtype=np.float64, count=n
@@ -1260,56 +1211,27 @@ class Machine:
             if self._soa:
                 if self._lane_rows.size:
                     self._advance_lanes_soa(dt)
-            elif self._lanes:
-                if self._vector:
-                    self._advance_lanes_vector(dt)
-                else:
-                    for lane in self._lanes:
-                        st = lane.state
-                        st.work_done += lane.progress_rate * dt
-                        st.run_time_us += dt
-                        tx = lane.tx_rate * dt
-                        self.counters.credit(
-                            lane.tid,
-                            bus_transactions=tx,
-                            cycles_us=dt,
-                            work_us=lane.progress_rate * dt,
-                        )
-                        assert st.cpu is not None
-                        self.cache_of(st.cpu).account_run(st.tid, st.footprint_lines, tx)
-                        if lane.fill_rate > 0.0:
-                            st.rebuild_debt = max(0.0, st.rebuild_debt - lane.fill_rate * dt)
+            else:
+                for lane in self._lanes:
+                    st = lane.state
+                    st.work_done += lane.progress_rate * dt
+                    st.run_time_us += dt
+                    tx = lane.tx_rate * dt
+                    self.counters.credit(
+                        lane.tid,
+                        bus_transactions=tx,
+                        cycles_us=dt,
+                        work_us=lane.progress_rate * dt,
+                    )
+                    assert st.cpu is not None
+                    self.cache_of(st.cpu).account_run(st.tid, st.footprint_lines, tx)
+                    if lane.fill_rate > 0.0:
+                        st.rebuild_debt = max(0.0, st.rebuild_debt - lane.fill_rate * dt)
         self._time = t
         if self._soa:
             self._process_transitions_soa()
         else:
             self._process_transitions()
-
-    def _advance_lanes_vector(self, dt: float) -> None:
-        """Batched lane integration (vector mode with SMT): same bits.
-
-        The per-lane work/transaction increments come from one elementwise
-        numpy product each (``rate × dt`` rounds identically to the scalar
-        multiply), counters are credited through the bank's unchecked
-        fast path, and cache accounting goes through
-        :meth:`repro.hw.cache.CacheL2.account_run_fast` with the L2
-        references hoisted at lane-rebuild time. Every mutation is
-        byte-equal to the scalar loop in ``_advance_to``.
-        """
-        dwork = (self._adv_pr * dt).tolist()
-        dtx = (self._adv_tx * dt).tolist()
-        credit = self.counters.credit_run
-        caches = self._adv_caches
-        for i, lane in enumerate(self._lanes):
-            st = lane.state
-            dw = dwork[i]
-            tx = dtx[i]
-            st.work_done += dw
-            st.run_time_us += dt
-            credit(st.tid, tx, dt, dw)
-            caches[i].account_run_fast(st.tid, st.footprint_lines, tx)
-            if lane.fill_rate > 0.0:
-                st.rebuild_debt = max(0.0, st.rebuild_debt - lane.fill_rate * dt)
 
     def _advance_lanes_soa(self, dt: float) -> None:
         """Store-wide lane integration: three fancy-indexed adds + caches.

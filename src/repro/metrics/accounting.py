@@ -87,13 +87,15 @@ class RunResult:
         Bus contention-solver work during the run (see
         :class:`repro.hw.bus.BusModel`): total ``solve`` invocations, how
         many were answered from the memo cache, and aggregate root-finder
-        throughput evaluations (bisection or guarded Newton, depending on
-        ``BusConfig.solver_mode``). The performance harness
+        throughput evaluations of the guarded-Newton root finder. The
+        performance harness
         (``benchmarks/bench_perf.py``) sums these across a whole
         experiment grid.
     bus_shared_hits / bus_warm_starts:
-        Hits served from the process-shared solve cache (chunked parallel
-        dispatch) and Newton searches seeded from the previous equilibrium.
+        ``bus_shared_hits`` is always 0: the process-shared solve cache it
+        counted is gone, and the field stays for readers of stored
+        results. ``bus_warm_starts`` counts Newton searches seeded from
+        the previous equilibrium.
     solve_skips / lane_rebuilds:
         This run's settle-loop fast-path counters (see
         :attr:`repro.hw.machine.Machine.solve_skips`). Strictly *per run*:
@@ -122,7 +124,7 @@ class RunResult:
         ``dynamic``, they participate in equality.
 
     All solver counters and the profile are *observability*, not physics:
-    they vary with cache warmth and solver mode while the simulated
+    they vary with cache warmth and settle pipeline while the simulated
     trajectory stays bit-identical, so they are excluded from equality
     comparisons (``compare=False``).
     """
@@ -220,7 +222,6 @@ def collect_run_result(
         bus_solve_calls=machine.bus.solve_calls,
         bus_cache_hits=machine.bus.cache_hits,
         bus_bisection_steps=machine.bus.bisection_steps,
-        bus_shared_hits=machine.bus.shared_hits,
         bus_warm_starts=machine.bus.warm_starts,
         solve_skips=machine.solve_skips,
         lane_rebuilds=machine.lane_rebuilds,

@@ -8,8 +8,7 @@ et al., arXiv:2010.16058, evaluate exactly such grids). :func:`run_many`
 is the single dispatch point: it executes a list of specs either serially
 in-process or fanned out over a :class:`concurrent.futures.
 ProcessPoolExecutor` in *chunks* (several specs per worker task, so each
-worker amortises fork/pickle overhead and keeps a warm shared solve cache
-across its chunk), and guarantees the paths are *bit-identical*:
+worker amortises fork/pickle overhead), and guarantees the paths are *bit-identical*:
 
 * **Deterministic ordering** — results are returned in spec order no
   matter which worker finishes first.
@@ -55,7 +54,6 @@ from .experiments.base import (
     run_simulation,
     run_simulation_with_handle,
 )
-from .hw.bus import install_shared_solve_cache, shared_solve_cache
 from .metrics.accounting import RunResult
 
 __all__ = [
@@ -178,9 +176,8 @@ def resolve_jobs(jobs: int | None, n_specs: int | None = None) -> int:
 def auto_chunk_size(total: int, n_jobs: int) -> int:
     """Default dispatch chunk: ≈ ``total / (4 · n_jobs)`` specs per task.
 
-    Four chunks per worker balances fork/pickle amortisation (and warm
-    solve caches within a chunk) against load-balancing slack when spec
-    runtimes are uneven. Never below 1.
+    Four chunks per worker balances fork/pickle amortisation against
+    load-balancing slack when spec runtimes are uneven. Never below 1.
     """
     return max(1, total // (4 * max(1, n_jobs)))
 
@@ -376,17 +373,7 @@ def _execute(
 def _execute_chunk(
     chunk: Sequence[tuple[int, SimulationSpec, CollectFn | None]],
 ) -> list[tuple[int, RunResult, Any, float]]:
-    """Run a chunk of specs sequentially (worker side).
-
-    The worker installs the process-global shared solve cache (bisect-mode
-    equilibria, bitwise-reproducible replays only — see
-    :mod:`repro.hw.bus`) so every spec after the first starts with the
-    chunk's accumulated equilibrium solutions instead of a cold cache.
-    The cache lives for the worker's lifetime, so later chunks dispatched
-    to the same worker keep compounding it.
-    """
-    if shared_solve_cache() is None:
-        install_shared_solve_cache()
+    """Run a chunk of specs sequentially (worker side)."""
     return [_execute(task) for task in chunk]
 
 
@@ -424,9 +411,8 @@ def run_many(
         instead of ``[result, ...]``.
     chunk_size:
         Specs per worker task. ``None`` picks :func:`auto_chunk_size`
-        (≈ ``total / (4 · jobs)``). Larger chunks amortise fork/IPC cost
-        and let each worker reuse a warm shared solve cache across its
-        chunk; chunking never changes results — only dispatch granularity.
+        (≈ ``total / (4 · jobs)``). Larger chunks amortise fork/IPC cost;
+        chunking never changes results — only dispatch granularity.
     on_result:
         Optional ``on_result(index, result, wall_s)`` callback, invoked in
         the parent as each spec completes (completion order, not spec

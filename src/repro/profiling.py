@@ -1,6 +1,6 @@
 """Lightweight per-phase profiling for the simulation hot loop.
 
-The simulator's cheap event counters (solve calls, cache hits, bisection
+The simulator's cheap event counters (solve calls, cache hits, root-finder
 steps, settle calls) are always maintained — they are plain integer
 increments. The *wall-clock* phase timers (solve / settle / dispatch
 seconds) cost a ``perf_counter`` pair per call, so they are off by default
@@ -19,15 +19,15 @@ picklable dict, one entry per counter — see
 worker-side profiles survive the trip back to the parent, where harnesses
 can fold them into one report with :func:`record` / :func:`aggregate`.
 
-Counter semantics under the struct-of-arrays machine (PR 7):
+Counter semantics under the batched (struct-of-arrays) pipeline:
 ``dirty_mask_hits`` counts lane entries whose demand segment was served
 from the thread store's per-row ``seg_rate``/``seg_end`` cache during an
 entry rebuild — i.e. the ``demand.segment()`` Python calls the batched
 build avoided. (Before the SoA store it counted whole entries reused from
 a per-CPU dirty-mask cache; the new count measures the same reuse at finer
 grain.) ``batched_lanes``, ``solve_skips``, ``lane_rebuilds`` and the
-``sel_*`` selection counters are unchanged. Scalar solver modes report
-``dirty_mask_hits == 0`` as before.
+``sel_*`` selection counters are unchanged. The scalar pipeline reports
+``dirty_mask_hits == 0``.
 
 All profile data is observability, never physics: profiling on or off,
 the simulated trajectories are bit-identical, and profile fields are

@@ -45,7 +45,13 @@ from ..experiments.base import SimulationSpec
 from ..metrics.accounting import RunResult
 from ..parallel import SupervisionConfig, run_many
 from .ratelimit import RateLimitConfig, RateLimiter
-from .schemas import SubmitRequest, parse_submit_request, spec_from_dict, spec_to_dict
+from .schemas import (
+    SpecValidationError,
+    SubmitRequest,
+    parse_submit_request,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .stats import ServiceStats
 from .store import ResultStore, RunRecord
 
@@ -296,6 +302,9 @@ class SimulationService:
         * ``attempts >= max_attempts`` → ``quarantined`` (the row has
           already been granted its full execution budget across previous
           service lives; the last error, if any, is preserved);
+        * a stored spec the current schema no longer accepts (e.g. a field
+          a later release removed) → ``quarantined``, with the validation
+          error as the row's error; recovery goes on with the next row;
         * ``running`` with budget left → back to ``queued`` (attempts
           stay charged) and re-enqueued;
         * ``queued`` with budget left → re-enqueued as-is.
@@ -319,9 +328,16 @@ class SimulationService:
                 )
                 summary["quarantined"] += 1
                 continue
+            try:
+                spec = spec_from_dict(json.loads(self.store.get_spec_json(record.run_id)))
+            except SpecValidationError as exc:
+                self.store.mark_quarantined(
+                    record.run_id, error=f"stored spec no longer valid: {exc}"
+                )
+                summary["quarantined"] += 1
+                continue
             if record.status == "running":
                 self.store.requeue(record.run_id)
-            spec = spec_from_dict(json.loads(self.store.get_spec_json(record.run_id)))
             job = Job(
                 run_id=record.run_id,
                 tenant=record.tenant,

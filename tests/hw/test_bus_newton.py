@@ -1,10 +1,11 @@
-"""Warm-started Newton solver: tolerance-equivalence with bisection.
+"""Guarded-Newton root finder: the saturated equilibrium it finds.
 
-The `solver_mode="newton"` fast path must produce equilibria that agree
-with the default bisection solver to within the configured fixed-point
-tolerance, on arbitrary workloads — the ISSUE 2 acceptance property.
-Alongside the property tests, this module covers the warm-start counters
-and the process-shared solve cache used by chunked parallel dispatch.
+The bus has one root finder, guarded Newton warm-started from the
+previous equilibrium. These properties pin *what* it converges to: the
+root of ``throughput(lam) == capacity``, checked against a plain
+bisection written here, independently of the solver's own code. The
+module also covers the warm-start counters and the removal of the old
+``solver_mode`` option.
 """
 
 import pytest
@@ -12,50 +13,85 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import BusConfig
-from repro.errors import ConfigError
-from repro.hw.bus import (
-    BusModel,
-    clear_shared_solve_cache,
-    install_shared_solve_cache,
-    shared_solve_cache,
-)
+from repro.hw.bus import BusModel
 
 _rates = st.floats(min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False)
 _request_lists = st.lists(_rates, min_size=1, max_size=10)
 
 
-def _pair(arbitration="shared-latency") -> tuple[BusModel, BusModel]:
-    bisect = BusModel(BusConfig(arbitration=arbitration, solver_mode="bisect"))
-    newton = BusModel(BusConfig(arbitration=arbitration, solver_mode="newton"))
-    return bisect, newton
+def _throughput(bus: BusModel, rates: list[float], lam: float) -> float:
+    """Aggregate actual rate if every thread saw base latency ``lam``."""
+    total = 0.0
+    for r in rates:
+        total += r * bus.speed_at_latency(bus.request_for_rate(r), lam)
+    return total
+
+
+def _arbitration_latency(bus: BusModel, rates: list[float]) -> float:
+    offered = 0.0
+    for r in rates:  # left to right, like the solver (not sum())
+        offered += r
+    return bus.contention_latency(offered / bus.capacity)
+
+
+def _bisect_latency(bus: BusModel, rates: list[float]) -> tuple[float, int]:
+    """Reference equilibrium latency by bisection (and its evaluations).
+
+    Below saturation the latency is the arbitration latency ``lam_c``;
+    above it, the root of ``throughput(lam) == capacity``, bracketed by
+    doubling from ``lam_c`` and bisected down to ``fixed_point_tol·lam0``.
+    """
+    cap = bus.capacity
+    lam_c = _arbitration_latency(bus, rates)
+    if _throughput(bus, rates, lam_c) <= cap:
+        return lam_c, 0
+    steps = 0
+    lo, hi = lam_c, 2.0 * lam_c
+    while _throughput(bus, rates, hi) >= cap:
+        steps += 1
+        lo, hi = hi, 2.0 * hi
+    while hi - lo >= bus.config.fixed_point_tol * bus.lam0:
+        steps += 1
+        mid = 0.5 * (lo + hi)
+        if _throughput(bus, rates, mid) > cap:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), steps
+
+
+def _assert_is_equilibrium(bus: BusModel, rates: list[float], sol) -> None:
+    ref, _ = _bisect_latency(bus, rates)
+    tol = bus.config.fixed_point_tol * bus.lam0
+    assert sol.latency_us == pytest.approx(ref, abs=2 * tol, rel=1e-6)
+    if sol.saturated:
+        # The defining property of the saturated root.
+        assert sol.total_txus == pytest.approx(bus.capacity, rel=1e-6)
+        assert _throughput(bus, rates, sol.latency_us) == pytest.approx(
+            bus.capacity, rel=1e-6
+        )
 
 
 class TestSolverModeConfig:
-    def test_default_is_bisect(self):
-        assert BusConfig().solver_mode == "bisect"
-
-    def test_newton_accepted(self):
-        assert BusConfig(solver_mode="newton").solver_mode == "newton"
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
+        # The option is gone: any solver_mode is an unknown keyword.
+        with pytest.raises(TypeError):
             BusConfig(solver_mode="brent")
 
 
 @given(_request_lists)
 @settings(max_examples=300, deadline=None)
 def test_newton_equilibrium_matches_bisect_within_tolerance(rates):
-    bisect, newton = _pair()
-    reqs_b = [bisect.request_for_rate(r) for r in rates]
-    reqs_n = [newton.request_for_rate(r) for r in rates]
-    sol_b = bisect.solve(reqs_b)
-    sol_n = newton.solve(reqs_n)
-    tol = bisect.config.fixed_point_tol * bisect.lam0
-    assert sol_n.saturated == sol_b.saturated
-    assert sol_n.latency_us == pytest.approx(sol_b.latency_us, abs=2 * tol, rel=1e-6)
-    assert sol_n.total_txus == pytest.approx(sol_b.total_txus, rel=1e-6, abs=1e-9)
-    for gb, gn in zip(sol_b.grants, sol_n.grants):
-        assert gn.speed == pytest.approx(gb.speed, rel=1e-6, abs=1e-9)
+    bus = BusModel(BusConfig())
+    sol = bus.solve([bus.request_for_rate(r) for r in rates])
+    ref, _ = _bisect_latency(bus, rates)
+    assert sol.saturated == (
+        _throughput(bus, rates, _arbitration_latency(bus, rates)) > bus.capacity
+    )
+    _assert_is_equilibrium(bus, rates, sol)
+    for r, grant in zip(rates, sol.grants):
+        want = bus.speed_at_latency(bus.request_for_rate(r), ref)
+        assert grant.speed == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 @given(st.lists(_request_lists, min_size=2, max_size=6))
@@ -63,20 +99,18 @@ def test_newton_equilibrium_matches_bisect_within_tolerance(rates):
 def test_newton_agrees_across_drifting_sequences(rate_lists):
     # Warm starts carry state between solves; agreement must survive a
     # whole *sequence* of solves, not just a single cold call.
-    bisect, newton = _pair()
+    bus = BusModel(BusConfig())
     for rates in rate_lists:
-        sol_b = bisect.solve([bisect.request_for_rate(r) for r in rates])
-        sol_n = newton.solve([newton.request_for_rate(r) for r in rates])
-        tol = bisect.config.fixed_point_tol * bisect.lam0
-        assert sol_n.latency_us == pytest.approx(sol_b.latency_us, abs=2 * tol, rel=1e-6)
+        sol = bus.solve([bus.request_for_rate(r) for r in rates])
+        _assert_is_equilibrium(bus, rates, sol)
 
 
 @given(_request_lists)
 @settings(max_examples=150, deadline=None)
 def test_newton_conservation_and_speed_bounds(rates):
-    _, newton = _pair()
-    sol = newton.solve([newton.request_for_rate(r) for r in rates])
-    assert sol.total_txus <= newton.capacity * (1 + 1e-9)
+    bus = BusModel(BusConfig())
+    sol = bus.solve([bus.request_for_rate(r) for r in rates])
+    assert sol.total_txus <= bus.capacity * (1 + 1e-9)
     for grant in sol.grants:
         assert 0.0 < grant.speed <= 1.0 + 1e-9
 
@@ -86,7 +120,7 @@ class TestWarmStart:
         return [base + i for i in range(n)]
 
     def test_warm_start_engages_on_drift(self):
-        newton = BusModel(BusConfig(solver_mode="newton", solve_cache_size=0))
+        newton = BusModel(BusConfig(solve_cache_size=0))
         for shift in range(12):
             rates = [r + 0.01 * shift for r in self._saturating_rates()]
             newton.solve([newton.request_for_rate(r) for r in rates])
@@ -94,73 +128,13 @@ class TestWarmStart:
         assert newton.warm_starts >= 10
 
     def test_newton_uses_fewer_evaluations_than_bisect(self):
-        cfg_b = BusConfig(solver_mode="bisect", solve_cache_size=0)
-        cfg_n = BusConfig(solver_mode="newton", solve_cache_size=0)
-        bisect, newton = BusModel(cfg_b), BusModel(cfg_n)
+        newton = BusModel(BusConfig(solve_cache_size=0))
+        bisect_steps = 0
         for shift in range(25):
             rates = [r + 0.02 * shift for r in self._saturating_rates()]
-            bisect.solve([bisect.request_for_rate(r) for r in rates])
+            bisect_steps += _bisect_latency(newton, rates)[1]
             newton.solve([newton.request_for_rate(r) for r in rates])
-        assert bisect.bisection_steps > 0
-        # ISSUE 2 acceptance: >= 25% fewer root-finder evaluations.
-        assert newton.bisection_steps <= 0.75 * bisect.bisection_steps
+        assert bisect_steps > 0
+        # >= 25% fewer throughput evaluations than cold bisection.
+        assert newton.bisection_steps <= 0.75 * bisect_steps
 
-    def test_bisect_mode_never_warm_starts(self):
-        bisect = BusModel(BusConfig(solver_mode="bisect", solve_cache_size=0))
-        for shift in range(5):
-            rates = [r + 0.1 * shift for r in self._saturating_rates()]
-            bisect.solve([bisect.request_for_rate(r) for r in rates])
-        assert bisect.warm_starts == 0
-
-
-class TestSharedSolveCache:
-    def setup_method(self):
-        clear_shared_solve_cache()
-
-    def teardown_method(self):
-        clear_shared_solve_cache()
-
-    def test_not_installed_by_default(self):
-        assert shared_solve_cache() is None
-        bus = BusModel(BusConfig())
-        bus.solve([bus.request_for_rate(20.0)])
-        assert bus.shared_hits == 0
-
-    def test_second_model_hits_shared_entry(self):
-        install_shared_solve_cache()
-        cfg = BusConfig()
-        rates = [31.0, 33.0, 35.0, 37.0]
-        first = BusModel(cfg)
-        sol_a = first.solve([first.request_for_rate(r) for r in rates])
-        second = BusModel(cfg)
-        sol_b = second.solve([second.request_for_rate(r) for r in rates])
-        assert second.shared_hits == 1
-        assert sol_b.latency_us == sol_a.latency_us  # bitwise replay
-        assert sol_b.total_txus == sol_a.total_txus
-
-    def test_different_config_never_shares(self):
-        install_shared_solve_cache()
-        rates = [31.0, 33.0, 35.0]
-        a = BusModel(BusConfig())
-        a.solve([a.request_for_rate(r) for r in rates])
-        b = BusModel(BusConfig(fixed_point_tol=1e-8))
-        b.solve([b.request_for_rate(r) for r in rates])
-        assert b.shared_hits == 0
-
-    def test_newton_mode_skips_shared_cache(self):
-        # Newton results depend on per-model warm-start history, so they
-        # must not be replayed across models.
-        install_shared_solve_cache()
-        rates = [31.0, 33.0, 35.0]
-        a = BusModel(BusConfig(solver_mode="newton"))
-        a.solve([a.request_for_rate(r) for r in rates])
-        b = BusModel(BusConfig(solver_mode="newton"))
-        b.solve([b.request_for_rate(r) for r in rates])
-        assert b.shared_hits == 0
-        assert shared_solve_cache().stores == 0
-
-    def test_install_is_idempotent_per_process_scope(self):
-        cache = install_shared_solve_cache()
-        assert shared_solve_cache() is cache
-        clear_shared_solve_cache()
-        assert shared_solve_cache() is None

@@ -12,9 +12,10 @@ import math
 
 import pytest
 
-from repro.config import BusConfig, MachineConfig
+from repro.config import MachineConfig
 from repro.hw.machine import Machine
 from repro.sim.engine import Engine
+from tests.pipeline import forced
 
 
 class _FlatDemand:
@@ -108,18 +109,12 @@ class TestSettleCounters:
 
 
 def _mode_pair(n_cpus: int = 8, smt_ways: int = 1) -> tuple[Machine, Machine]:
-    newton = Machine(
-        MachineConfig(
-            n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode="newton")
-        ),
-        Engine(),
-    )
-    vector = Machine(
-        MachineConfig(
-            n_cpus=n_cpus, smt_ways=smt_ways, bus=BusConfig(solver_mode="vector")
-        ),
-        Engine(),
-    )
+    """(forced scalar, forced batched) machines on the same config."""
+    config = MachineConfig(n_cpus=n_cpus, smt_ways=smt_ways)
+    with forced(False):
+        newton = Machine(config, Engine())
+    with forced(True):
+        vector = Machine(config, Engine())
     return newton, vector
 
 
@@ -129,7 +124,7 @@ def _mirror(machines, op):
 
 
 class TestVectorSettleParity:
-    """Vector-mode settle path: same bits as the scalar reference."""
+    """Batched settle pipeline: same bits as the scalar pipeline."""
 
     def _populate(self, machine: Machine, n: int = 6) -> list[int]:
         tids = []
@@ -191,11 +186,10 @@ class TestVectorSettleParity:
         # unchanged (it encodes tids and rates, not CPU ids), so
         # _ensure_solution takes the solve-skip path. The batched advance
         # must still charge the *new* CPU's cache, like the scalar path's
-        # live ``st.cpu`` read does. Parametrized over SMT because the
-        # two vector skip paths differ: smt_ways=1 runs the SoA store
-        # path (lane handles rebound via _bind_lane_handles), smt_ways=2
-        # runs the lane-object path (_adv_caches refresh) — both must
-        # re-read placement on a solve skip.
+        # live ``st.cpu`` read does. Parametrized over SMT: smt_ways=1
+        # runs the batched pipeline (lane handles rebound via
+        # _bind_lane_handles); an SMT machine always takes the scalar
+        # pipeline, here with the batched bus kernel forced on.
         pair = _mode_pair(n_cpus=2, smt_ways=smt_ways)
         newton, vector = pair
         assert (vector.soa_store is not None) == (smt_ways == 1)

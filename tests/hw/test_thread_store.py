@@ -8,12 +8,16 @@ Three layers of guarantees pinned here:
    land in the store arrays and direct array writes are visible through
    the attributes (policies, audit, faults and the batched machine loops
    share one source of truth).
-3. The SoA hot path (``solver_mode="vector"``, no SMT) is bit-identical
-   to the scalar newton reference under randomized operation sequences —
+3. The batched (SoA) pipeline is bit-identical to the scalar pipeline
+   under randomized operation sequences —
    drifting warm starts (rebuild-debt churn), migrations, blocking,
    stalls and mid-run kills — and under a full faulted simulation.
    The machine's incremental ready set must always equal the brute-force
-   recomputation in every mode (the kernel pick scan trusts it).
+   recomputation on both pipelines (the kernel pick scan trusts it).
+
+Both pipelines are forced with :func:`tests.pipeline.forced`: the
+``"newton"`` side is the scalar pipeline with the scalar Newton loop,
+the ``"vector"`` side the batched pipeline with the numpy kernel.
 """
 
 import math
@@ -25,6 +29,7 @@ from repro.config import BusConfig, MachineConfig
 from repro.hw.machine import Machine
 from repro.hw.store import BOOL_FIELDS, FLOAT_FIELDS, INT_FIELDS, ThreadStore
 from repro.sim.engine import Engine
+from tests.pipeline import forced
 
 
 class _FlatDemand:
@@ -145,9 +150,9 @@ def _brute_force_ready(machine: Machine) -> list[int]:
 
 
 def _mode_machine(mode: str, n_cpus: int = 4) -> Machine:
-    return Machine(
-        MachineConfig(n_cpus=n_cpus, bus=BusConfig(solver_mode=mode)), Engine()
-    )
+    """A machine on the scalar (``"newton"``) or batched (``"vector"``) side."""
+    with forced(mode == "vector"):
+        return Machine(MachineConfig(n_cpus=n_cpus), Engine())
 
 
 def _apply_random_ops(machines, seed: int, steps: int = 60, n_cpus: int = 4):
@@ -214,7 +219,7 @@ def _apply_random_ops(machines, seed: int, steps: int = 60, n_cpus: int = 4):
                     m.kill_thread(tid)
         # settle forward, never past the earliest internal transition.
         # Poll horizon() on every machine: the engine queries it each loop
-        # in every mode, and the cached *absolute* horizon is bit-stable
+        # on both pipelines, and the cached *absolute* horizon is bit-stable
         # only when machines recompute it at the same instants.
         horizons = [m.horizon() for m in machines]
         horizon = horizons[0]
@@ -246,8 +251,8 @@ class TestReadySetInvariant:
                 assert machine.cpu_tids[cpu.cpu_id] == want
 
 
-#: Store columns carrying physics (compared bit-exact across solver
-#: modes). seg_rate/seg_end are the SoA path's private segment cache —
+#: Store columns carrying physics (compared bit-exact across
+#: pipelines). seg_rate/seg_end are the SoA path's private segment cache —
 #: the scalar reference never populates them.
 _PHYSICS_FLOATS = (
     "work_done", "work_total", "rebuild_debt", "next_io_at_work",
@@ -267,7 +272,7 @@ def _assert_stores_identical(a: Machine, b: Machine):
 
 
 class TestScalarVsSoAPropertyIdentity:
-    """Randomized lifecycle sequences: newton and SoA-vector, same bits."""
+    """Randomized lifecycle sequences: scalar and batched, same bits."""
 
     @pytest.mark.parametrize("seed", [1, 5, 12, 31, 48])
     def test_random_op_sequences_bit_identical(self, seed):
@@ -304,24 +309,23 @@ class TestFaultedRunIdentity:
             hang_prob=0.2, stall_prob=0.3,
         )
 
-        def spec(mode):
+        def run(batched):
             apps = [PAPER_APPS[n].scaled(0.05) for n in ("CG", "Barnes")]
-            return SimulationSpec(
+            spec = SimulationSpec(
                 targets=[apps[0], apps[0], apps[1]],
                 background=[bbma_spec(), nbbma_spec()],
                 scheduler=QuantaWindowPolicy(),
                 machine=MachineConfig(
                     n_cpus=8,
-                    bus=BusConfig(
-                        solver_mode=mode,
-                        capacity_txus=BusConfig().capacity_txus * 2.0,
-                    ),
+                    bus=BusConfig(capacity_txus=BusConfig().capacity_txus * 2.0),
                 ),
                 seed=11,
                 faults=plan,
             )
+            with forced(batched):
+                return run_simulation(spec)
 
-        ref = run_simulation(spec("newton"))
-        vec = run_simulation(spec("vector"))
+        ref = run(False)
+        vec = run(True)
         assert vec == ref
         assert vec.apps == ref.apps

@@ -156,6 +156,16 @@ class TestErrorMapping:
         assert body["error"]["type"] == "validation"
         assert body["error"]["path"] == "request.spec.targets[0].app"
 
+    def test_removed_solver_mode_is_400_with_path(self, app):
+        # BusConfig.solver_mode no longer exists; a client still sending
+        # it learns exactly where, instead of having it silently ignored.
+        bad = {"spec": dict(PAYLOAD["spec"], machine={"bus": {"solver_mode": "newton"}})}
+        status, body = call(app, "POST", "/v1/runs", bad)
+        assert status == 400
+        assert body["error"]["type"] == "validation"
+        assert body["error"]["path"] == "request.spec.machine.bus"
+        assert "solver_mode" in body["error"]["message"]
+
     def test_queue_full_is_503(self):
         # Saturation is 503, distinct from the per-tenant rate limit's 429.
         store = ResultStore(":memory:")

@@ -149,3 +149,36 @@ class TestShutdownRaces:
         service = SimulationService(store, queue_depth=8, jobs=1).start()
         assert service.shutdown(drain=True, timeout=120.0)
         assert all(r.terminal for r in store.list_runs())
+
+
+class TestRowsFromAnOlderRelease:
+    def test_row_with_removed_solver_mode_is_quarantined_not_fatal(self, tmp_path):
+        # Stores written before BusConfig.solver_mode was removed hold
+        # specs that carry it. Recovery must quarantine such a row with
+        # its validation error and still start, running the rest.
+        results_dir = str(tmp_path / "svc")
+        old = ResultStore(results_dir)
+        assert old.schema_version == 2
+        spec_payload = spec_to_dict(spec_from_dict(_payload(1)["spec"]))
+        spec_payload["machine"]["bus"]["solver_mode"] = "bisect"
+        stale = old.create(
+            spec_hash="0" * 64,  # the old hash; never recomputed
+            spec_json=canonical_json(spec_payload),
+            tenant="t1",
+        ).run_id
+        old.close()
+        store = ResultStore(results_dir)
+        fresh = _orphan(store, seed=2)
+        service = SimulationService(store, queue_depth=8, jobs=1).start()
+        try:
+            assert service.running
+            record = store.get(stale)
+            assert record.status == "quarantined"
+            assert "machine.bus" in record.error and "solver_mode" in record.error
+            assert service.wait(fresh, timeout=120.0).status == "done"
+            stats = service.stats()
+            assert stats.recovered_quarantined == 1
+            assert stats.recovered_requeued == 1
+        finally:
+            service.shutdown(drain=False, timeout=10.0)
+            store.close()

@@ -204,42 +204,36 @@ class TestChunkedDispatch:
         # chunk): each RunResult's solver/profiling counters must describe
         # only its own run. A regression that accumulated them across the
         # worker's chunk would inflate the second run's counters.
-        from repro.hw.bus import clear_shared_solve_cache
         from repro.parallel import _execute_chunk
 
         spec_a, spec_b = _specs(2)
-        try:
-            clear_shared_solve_cache()
-            fresh_a = run_many([spec_a], jobs=1)[0]
-            clear_shared_solve_cache()
-            fresh_b = run_many([spec_b], jobs=1)[0]
-            clear_shared_solve_cache()
-            chunked = _execute_chunk([(0, spec_a, None), (1, spec_b, None)])
-        finally:
-            clear_shared_solve_cache()
+        fresh_a = run_many([spec_a], jobs=1)[0]
+        fresh_b = run_many([spec_b], jobs=1)[0]
+        chunked = _execute_chunk([(0, spec_a, None), (1, spec_b, None)])
         assert [i for i, _, _, _ in chunked] == [0, 1]
         for fresh, (_, result, _, _) in zip((fresh_a, fresh_b), chunked):
             assert result == fresh
-            # Chunk-invariant counters: identical to an isolated run.
-            # (bisection_steps and bus_shared_hits legitimately differ —
-            # shared-cache warmth changes how equilibria are reached.)
+            # Counters are identical to an isolated run.
             assert result.bus_solve_calls == fresh.bus_solve_calls
             assert result.bus_cache_hits == fresh.bus_cache_hits
+            assert result.bus_bisection_steps == fresh.bus_bisection_steps
             assert result.solve_skips == fresh.solve_skips
             assert result.lane_rebuilds == fresh.lane_rebuilds
 
-    def test_shared_cache_reports_hits_without_changing_results(self):
+    def test_repeated_spec_in_one_chunk_matches_serial(self):
         if not fork_available():
             pytest.skip("no fork on this platform")
-        # one worker, one chunk: later specs replay the earlier specs'
-        # equilibria from the shared cache; physics must be unchanged.
+        # one worker, one chunk: later specs run in a process that
+        # already ran the same spec; nothing may carry over between them.
         spec = _specs(1)[0]
         specs = [spec, spec, spec]
         serial = run_many(specs, jobs=1)
         chunked = run_many(specs, jobs=2, chunk_size=3)
         assert chunked == serial
-        assert sum(r.bus_shared_hits for r in chunked) > 0
-        assert all(r.bus_shared_hits == 0 for r in serial)
+        assert [r.bus_bisection_steps for r in chunked] == [
+            r.bus_bisection_steps for r in serial
+        ]
+        assert all(r.bus_shared_hits == 0 for r in chunked + serial)
 
 
 class TestProgressNotes:
