@@ -363,7 +363,7 @@ def _crossover_benchmark(reps: int) -> dict:
                             clock=time.process_time)
 
     cpus = {}
-    for n in (4, 8, 12, 16, 24, 32, 64):
+    for n in (4, 8, 16, 32, 48, 64, 96, 128):
         t_s, r_s = run_cpu_s(n, False)
         t_b, r_b = run_cpu_s(n, True)
         assert r_s == r_b, f"pipelines diverged at {n} CPUs"

@@ -365,7 +365,7 @@ class BusModel:
         return req
 
     def requests_for_rates(self, rates: list[float]) -> list[BusRequest]:
-        """Batch :meth:`request_for_rate` (the SoA entry build's one call).
+        """Batch :meth:`request_for_rate` (the lane entry build's one call).
 
         Same memo, same eviction cap, same ``BusRequest`` identity on a
         hit — just the per-rate lookup inlined so a full lane rebuild is

@@ -12,18 +12,28 @@ Counters are monotone non-decreasing by construction; :class:`CounterBank`
 enforces this and raises :class:`repro.errors.CounterError` on misuse, which
 property tests rely on.
 
-Storage is struct-of-arrays: three float64 arrays (transactions, cycles,
-work) indexed by a per-bank row, so the machine's batched advance can
-credit every running lane with three fancy-indexed adds
-(:meth:`CounterBank.credit_rows`) and the manager can accumulate an
-application's counters without a per-thread dict walk
-(:meth:`CounterBank.read_rows`). The aggregate in ``read_rows`` is a
-``cumsum`` tail — bit-identical to the left-to-right scalar fold of
-:meth:`read_many`, which stays as the reference.
+Storage is struct-of-arrays: three float64 columns (transactions, cycles,
+work) indexed by a per-bank row. Like :class:`repro.hw.store.ThreadStore`,
+each column is an :class:`array.array` with a numpy view of the same
+memory. The machine's scalar settle loop adds to the ``array.array``
+columns (:attr:`CounterBank.py_columns`) at rows it bound when it built
+its lanes; the batched advance credits every running lane with three
+fancy-indexed adds on the numpy views (:meth:`CounterBank.credit_rows`);
+and the manager accumulates an application's counters without a
+per-thread dict walk (:meth:`CounterBank.read_rows`). The aggregate in
+``read_rows`` is a ``cumsum`` tail — bit-identical to the left-to-right
+scalar fold of :meth:`read_many`, which stays as the reference.
+
+Registering a thread can grow the columns, which allocates new arrays:
+re-fetch :attr:`~CounterBank.py_columns` after :meth:`~CounterBank.register`.
+The machine does not credit through the checked :meth:`CounterBank.credit`;
+it rejects negative rates once per lane configuration instead (the
+increments are those rates times a positive interval).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +94,19 @@ class CounterBank:
 
     def __init__(self) -> None:
         self._row: dict[int, int] = {}
-        capacity = 64
-        self._tx = np.zeros(capacity)
-        self._cycles = np.zeros(capacity)
-        self._work = np.zeros(capacity)
+        self._alloc(64)
 
-    def _grow(self) -> None:
+    def _alloc(self, capacity: int) -> None:
+        """(Re)allocate the columns at ``capacity``, keeping registered rows."""
         n = len(self._row)
-        capacity = self._tx.size * 2
-        for name in ("_tx", "_cycles", "_work"):
-            old = getattr(self, name)
-            fresh = np.zeros(capacity)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
+        old = getattr(self, "py_columns", (array("d"),) * 3)
+        tx, cycles, work = (col[:n] + array("d", [0.0]) * (capacity - n) for col in old)
+        #: The ``(transactions, cycles, work)`` ``array.array`` columns, for
+        #: unchecked scalar credit at pre-resolved rows (see module docstring).
+        self.py_columns = (tx, cycles, work)
+        self._tx = np.frombuffer(tx, dtype=np.float64)
+        self._cycles = np.frombuffer(cycles, dtype=np.float64)
+        self._work = np.frombuffer(work, dtype=np.float64)
 
     def register(self, tid: int) -> None:
         """Start counting for thread ``tid`` (all counters at zero).
@@ -110,10 +120,7 @@ class CounterBank:
             raise CounterError(f"thread {tid} already registered")
         row = len(self._row)
         if row == self._tx.size:
-            self._grow()
-        self._tx[row] = 0.0
-        self._cycles[row] = 0.0
-        self._work[row] = 0.0
+            self._alloc(2 * row)
         self._row[tid] = row
 
     def known(self, tid: int) -> bool:
@@ -162,9 +169,10 @@ class CounterBank:
                 f"negative counter increment for thread {tid}: "
                 f"tx={bus_transactions} cycles={cycles_us} work={work_us}"
             )
-        self._tx[row] += bus_transactions
-        self._cycles[row] += cycles_us
-        self._work[row] += work_us
+        tx, cycles, work = self.py_columns
+        tx[row] += bus_transactions
+        cycles[row] += cycles_us
+        work[row] += work_us
 
     def credit_run(
         self,
@@ -175,15 +183,17 @@ class CounterBank:
     ) -> None:
         """Unchecked :meth:`credit` for the machine's settle loop.
 
-        Skips the registration and negativity checks: the machine only
-        credits lanes it built from registered, dispatched threads, and
-        the increments are products of non-negative rates and a positive
-        ``dt``. A ``KeyError`` here indicates a machine bug, not misuse.
+        Skips the registration and negativity checks: the caller only
+        credits registered threads, with increments it checked. A
+        ``KeyError`` here indicates a caller bug, not misuse. The
+        machine's scalar loop performs the same three adds inline on
+        :attr:`py_columns`.
         """
         row = self._row[tid]
-        self._tx[row] += bus_transactions
-        self._cycles[row] += cycles_us
-        self._work[row] += work_us
+        tx, cycles, work = self.py_columns
+        tx[row] += bus_transactions
+        cycles[row] += cycles_us
+        work[row] += work_us
 
     def credit_rows(
         self,
@@ -198,7 +208,7 @@ class CounterBank:
         per-row transaction/work increments are elementwise products the
         caller already formed. Each fancy-indexed add performs exactly the
         scalar ``+=`` of :meth:`credit_run` per row, so the stored bits
-        match the per-lane reference loop.
+        match the scalar settle loop.
         """
         self._tx[rows] += bus_transactions
         self._cycles[rows] += cycles_us
@@ -215,9 +225,8 @@ class CounterBank:
         row = self._row.get(tid)
         if row is None:
             raise CounterError(f"read of unknown thread {tid}")
-        return CounterSnapshot(
-            float(self._tx[row]), float(self._cycles[row]), float(self._work[row])
-        )
+        tx, cycles, work = self.py_columns
+        return CounterSnapshot(tx[row], cycles[row], work[row])
 
     def read_many(self, tids: list[int]) -> CounterSnapshot:
         """Accumulated snapshot over several threads (e.g. one application).

@@ -34,20 +34,33 @@ Struct-of-arrays thread state
 Every per-thread scalar the hot loops touch lives in a
 :class:`repro.hw.store.ThreadStore` row (``row == tid - 1``);
 :class:`ThreadState` is an index-backed view over that row, so the object
-API policies/audit/faults/tests use and the arrays the batched loops use
-are the same storage.
+API policies/audit/faults/tests use and the arrays the settle loops use
+are the same storage. Each store column is an ``array.array`` (plain
+Python scalars: the :class:`ThreadState` properties and the scalar
+pipeline) with a numpy view of the same memory (the batched pipeline).
 
 Two settle pipelines
 --------------------
 Small machines run the *scalar* pipeline: per-lane Python loops over
-:class:`_Lane` objects. Large machines without SMT coupling
-(``smt_ways == 1`` and at least :data:`BATCH_MIN_CPUS` logical CPUs) run
-the *batched* pipeline: fully vectorized passes over the store — lane
-entry build, advance, horizon scan, transition detection. The two are
-bit-identical; which one runs is a pure cost decision made from the
-machine size (numpy call overhead loses to a short Python loop on a
-4-CPU machine). SMT machines always take the scalar pipeline, because
-the sibling-efficiency factor couples lanes across cores.
+:class:`_Lane` objects. When the lanes are built, each one binds its
+store row, its counter row and the L2 cache of its CPU (rebound when a
+solve is skipped, because a migration can leave the lane signature
+unchanged), so the advance, horizon and transition loops index the
+store's and the counter bank's ``array.array`` columns directly.
+Large machines without SMT coupling (``smt_ways == 1`` and at least
+:data:`BATCH_MIN_CPUS` logical CPUs) run the *batched* pipeline: fully
+vectorized passes over the store's numpy views — lane entry build,
+advance, horizon scan, transition detection.
+
+The two are bit-identical: the same arithmetic in the same order. Both
+serve lane entries from the store's demand-segment cache, both reject a
+lane whose counter increments would be negative once per lane build
+(:class:`repro.errors.CounterError`), and both account L2 inflow through
+the same :meth:`repro.hw.cache.CacheL2.account_run`. Which one runs is a
+pure cost decision made from the machine size (numpy call overhead
+loses to a short Python loop on a 4-CPU machine). SMT machines always
+take the scalar pipeline, because the sibling-efficiency factor couples
+lanes across cores.
 """
 
 from __future__ import annotations
@@ -59,10 +72,10 @@ from typing import Callable, Protocol
 import numpy as np
 
 from ..config import MachineConfig
-from ..errors import SchedulingError, SimulationError, WorkloadError
+from ..errors import CounterError, SchedulingError, SimulationError, WorkloadError
 from ..sim.engine import Engine
 from ..sim.trace import TraceRecorder
-from .bus import BusModel, BusRequest
+from .bus import BusModel
 from .cache import CacheL2
 from .counters import CounterBank
 from .cpu import Cpu
@@ -76,16 +89,30 @@ _SNAP = 1e-6
 #: Logical-CPU count from which a machine without SMT runs the batched
 #: pipeline (see module docstring). Whole-run CPU time, scalar ÷
 #: batched, on ``benchmarks/bench_perf.py``'s scaled Quanta Window
-#: workload measured 0.70–1.00 at 4 CPUs, 0.82–1.01 at 8, 1.13–1.60 at
-#: 12, 1.10–2.00 at 16 and 1.41–2.09 at 32 (three sweeps), and the
-#: paper's own 4-CPU Figure 2 grid runs 1.3× slower batched. An earlier
-#: sizing on the same box found parity (1.01) at 12, so the threshold is
-#: the next size up. Full table in DESIGN.md, "One root finder";
-#: ``python benchmarks/bench_perf.py --crossover`` re-measures.
-BATCH_MIN_CPUS = 16
+#: workload, with the array-backed scalar pipeline (seven sweeps):
+#: 0.47–0.69 at 4–12 CPUs, 0.52–1.03 at 16, 0.56–0.98 at 24, 0.78–1.23
+#: at 32, 0.86–1.26 at 48, 0.71–1.67 at 64, 0.82 at 80, 1.13–1.52 at 96
+#: (five of five won) and 1.13–1.53 at 128. The batched side loses or
+#: ties up to 80 CPUs, so the threshold is 96 (it was 16 against the
+#: slower numpy-scalar pipeline). Full table in DESIGN.md, "One root
+#: finder"; ``python benchmarks/bench_perf.py --crossover`` re-measures.
+BATCH_MIN_CPUS = 96
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0)
+
+
+def _raise_negative_credit(tid: int, tx_rate: float, progress_rate: float) -> None:
+    """Reject a lane whose counter increments would be negative.
+
+    Both settle pipelines credit counters unchecked: an increment is a
+    lane rate times a positive interval, and rates are constant between
+    lane rebuilds, so one check per lane build covers every settle.
+    """
+    raise CounterError(
+        f"negative counter increment for thread {tid}: "
+        f"tx rate={tx_rate} progress rate={progress_rate}"
+    )
 
 
 class DemandProcess(Protocol):
@@ -149,8 +176,8 @@ class ThreadState:
         self.app_id = app_id
         self.name = name
         self.demand = demand
-        store.work_total[row] = work_total
-        store.footprint_lines[row] = footprint_lines
+        store.py_work_total[row] = work_total
+        store.py_footprint_lines[row] = footprint_lines
         self.migration_sensitivity = migration_sensitivity
         self.created_at = created_at
         self.finished_at: float | None = None
@@ -164,137 +191,139 @@ class ThreadState:
         self.io_count = 0
 
     # -- store-backed scalars -------------------------------------------------
+    # Reads and writes go through the store's ``array.array`` columns,
+    # which hold and return plain Python scalars.
 
     @property
     def work_total(self) -> float:
         """Total work to complete, in standalone-µs."""
-        return float(self._store.work_total[self._row])
+        return self._store.py_work_total[self._row]
 
     @work_total.setter
     def work_total(self, value: float) -> None:
-        self._store.work_total[self._row] = value
+        self._store.py_work_total[self._row] = value
 
     @property
     def work_done(self) -> float:
         """Completed work, in standalone-µs."""
-        return float(self._store.work_done[self._row])
+        return self._store.py_work_done[self._row]
 
     @work_done.setter
     def work_done(self, value: float) -> None:
-        self._store.work_done[self._row] = value
+        self._store.py_work_done[self._row] = value
 
     @property
     def footprint_lines(self) -> float:
         """Working-set size in cache lines."""
-        return float(self._store.footprint_lines[self._row])
+        return self._store.py_footprint_lines[self._row]
 
     @footprint_lines.setter
     def footprint_lines(self, value: float) -> None:
-        self._store.footprint_lines[self._row] = value
+        self._store.py_footprint_lines[self._row] = value
 
     @property
     def rebuild_debt(self) -> float:
         """Outstanding compulsory refill transactions."""
-        return float(self._store.rebuild_debt[self._row])
+        return self._store.py_rebuild_debt[self._row]
 
     @rebuild_debt.setter
     def rebuild_debt(self, value: float) -> None:
-        self._store.rebuild_debt[self._row] = value
+        self._store.py_rebuild_debt[self._row] = value
 
     @property
     def run_time_us(self) -> float:
         """Cumulative wall time spent dispatched (µs)."""
-        return float(self._store.run_time_us[self._row])
+        return self._store.py_run_time_us[self._row]
 
     @run_time_us.setter
     def run_time_us(self, value: float) -> None:
-        self._store.run_time_us[self._row] = value
+        self._store.py_run_time_us[self._row] = value
 
     @property
     def next_io_at_work(self) -> float:
         """Completed-work point of the next I/O sleep (inf = never)."""
-        return float(self._store.next_io_at_work[self._row])
+        return self._store.py_next_io_at_work[self._row]
 
     @next_io_at_work.setter
     def next_io_at_work(self, value: float) -> None:
-        self._store.next_io_at_work[self._row] = value
+        self._store.py_next_io_at_work[self._row] = value
 
     @property
     def cpu(self) -> int | None:
         """The CPU currently running this thread, or ``None``."""
-        c = self._store.cpu[self._row]
-        return int(c) if c >= 0 else None
+        c = self._store.py_cpu[self._row]
+        return c if c >= 0 else None
 
     @cpu.setter
     def cpu(self, value: int | None) -> None:
-        self._store.cpu[self._row] = -1 if value is None else value
+        self._store.py_cpu[self._row] = -1 if value is None else value
 
     @property
     def last_cpu(self) -> int | None:
         """The CPU this thread last ran on, or ``None`` (never dispatched)."""
-        c = self._store.last_cpu[self._row]
-        return int(c) if c >= 0 else None
+        c = self._store.py_last_cpu[self._row]
+        return c if c >= 0 else None
 
     @last_cpu.setter
     def last_cpu(self, value: int | None) -> None:
-        self._store.last_cpu[self._row] = -1 if value is None else value
+        self._store.py_last_cpu[self._row] = -1 if value is None else value
 
     @property
     def blocked(self) -> bool:
         """Blocked by a CPU-manager signal (cannot be dispatched)."""
-        return bool(self._store.blocked[self._row])
+        return self._store.py_blocked[self._row] != 0
 
     @blocked.setter
     def blocked(self, value: bool) -> None:
-        self._store.blocked[self._row] = value
+        self._store.py_blocked[self._row] = 1 if value else 0
 
     @property
     def stalled(self) -> bool:
         """Hung: occupies its CPU without progressing or issuing traffic."""
-        return bool(self._store.stalled[self._row])
+        return self._store.py_stalled[self._row] != 0
 
     @stalled.setter
     def stalled(self, value: bool) -> None:
-        self._store.stalled[self._row] = value
+        self._store.py_stalled[self._row] = 1 if value else 0
 
     @property
     def finished(self) -> bool:
         """Completed (or killed); never dispatched again."""
-        return bool(self._store.finished[self._row])
+        return self._store.py_finished[self._row] != 0
 
     @finished.setter
     def finished(self, value: bool) -> None:
-        self._store.finished[self._row] = value
+        self._store.py_finished[self._row] = 1 if value else 0
 
     @property
     def in_io(self) -> bool:
         """Asleep on I/O (off-CPU, not runnable until the wakeup)."""
-        return bool(self._store.in_io[self._row])
+        return self._store.py_in_io[self._row] != 0
 
     @in_io.setter
     def in_io(self, value: bool) -> None:
-        self._store.in_io[self._row] = value
+        self._store.py_in_io[self._row] = 1 if value else 0
 
     # -- derived --------------------------------------------------------------
 
     @property
     def running(self) -> bool:
         """Whether the thread is currently dispatched on a CPU."""
-        return self._store.cpu[self._row] >= 0
+        return self._store.py_cpu[self._row] >= 0
 
     @property
     def runnable(self) -> bool:
         """Eligible for dispatch: not finished, not blocked, not in I/O."""
         s = self._store
         r = self._row
-        return not (s.finished[r] or s.blocked[r] or s.in_io[r])
+        return not (s.py_finished[r] or s.py_blocked[r] or s.py_in_io[r])
 
     @property
     def remaining_work(self) -> float:
         """Work left to completion, in standalone-µs."""
         s = self._store
         r = self._row
-        return max(0.0, float(s.work_total[r] - s.work_done[r]))
+        return max(0.0, s.py_work_total[r] - s.py_work_done[r])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f"cpu{self.cpu}" if self.cpu is not None else ("blocked" if self.blocked else "ready")
@@ -304,28 +333,34 @@ class ThreadState:
 class _Lane:
     """Cached per-running-thread rates for the current configuration.
 
-    Holds the :class:`ThreadState` directly (not just the tid) so the
-    integration and horizon loops skip a dict lookup per lane per event.
+    Holds the :class:`ThreadState`, its store row and counter row, and the
+    L2 cache of its CPU, all bound when the lanes are built, so the
+    integration, horizon and transition loops index the store's
+    ``array.array`` columns directly and skip every per-lane lookup.
     Scalar-pipeline structure; the batched pipeline keeps lane columns as
     arrays.
     """
 
-    __slots__ = ("state", "speed", "progress_rate", "tx_rate", "fill_rate", "seg_end")
+    __slots__ = (
+        "state", "tid", "row", "crow", "cache", "fp",
+        "speed", "progress_rate", "tx_rate", "fill_rate", "seg_end",
+    )
 
     def __init__(
-        self, state: ThreadState, speed: float, progress_rate: float, tx_rate: float,
-        fill_rate: float, seg_end: float
+        self, state: ThreadState, crow: int, cache: CacheL2, fp: float, speed: float,
+        progress_rate: float, tx_rate: float, fill_rate: float, seg_end: float
     ) -> None:
         self.state = state
+        self.tid = state.tid
+        self.row = state.tid - 1
+        self.crow = crow
+        self.cache = cache
+        self.fp = fp
         self.speed = speed
         self.progress_rate = progress_rate
         self.tx_rate = tx_rate
         self.fill_rate = fill_rate
         self.seg_end = seg_end
-
-    @property
-    def tid(self) -> int:
-        return self.state.tid
 
 
 class Machine:
@@ -362,6 +397,8 @@ class Machine:
         # Schedulers see logical CPUs; SMT siblings share a core and its L2.
         self.cpus = [Cpu(i) for i in range(config.n_logical_cpus)]
         self.caches = [CacheL2(config.cache) for _ in range(config.n_cpus)]
+        # The cache serving each logical CPU, resolved once.
+        self._cpu_cache = [self.caches[config.core_of(c)] for c in range(config.n_logical_cpus)]
         self._threads: dict[int, ThreadState] = {}
         self._time = engine.now
         self._dirty = True
@@ -428,7 +465,7 @@ class Machine:
 
     def cache_of(self, cpu_id: int) -> CacheL2:
         """The L2 cache serving a logical CPU (shared by SMT siblings)."""
-        return self.caches[self.config.core_of(cpu_id)]
+        return self._cpu_cache[cpu_id]
 
     def _smt_factor(self, cpu_id: int) -> float:
         """Execution efficiency of the thread on ``cpu_id`` given siblings.
@@ -472,9 +509,10 @@ class Machine:
         """Lane entries served from the store's segment cache (batched).
 
         Counts occupied CPUs whose demand segment was reused from the
-        per-thread ``seg_rate``/``seg_end`` store columns during an entry
-        rebuild — the ``demand.segment()`` call the SoA pass avoided.
-        Always zero on the scalar pipeline.
+        per-thread ``seg_rate``/``seg_end`` store columns during a batched
+        entry rebuild — the ``demand.segment()`` call the SoA pass
+        avoided. The scalar pipeline reads the same cache but does not
+        count its hits: this stays zero there.
         """
         return self._dirty_mask_hits
 
@@ -924,22 +962,48 @@ class Machine:
         if self._soa:
             self._ensure_solution_soa()
             return
+        s = self.store
+        stalled_col = s.py_stalled
+        wd_col = s.py_work_done
+        debt_col = s.py_rebuild_debt
+        seg_rate_col = s.py_seg_rate
+        seg_end_col = s.py_seg_end
+        cpu_col = s.py_cpu
+        fp_col = s.py_footprint_lines
+        cpu_cache = self._cpu_cache
         cfg_cache = self.config.cache
-        entries: list[tuple[ThreadState, float, float, float, float]] = []
+        smt = self.config.smt_ways > 1
+        entries: list[tuple[int, float, float, float, float]] = []
+        handles: list[tuple[CacheL2, float]] = []
         for cpu in self.cpus:
-            if cpu.tid is None:
+            tid = cpu.tid
+            if tid is None:
                 continue
-            st = self._threads[cpu.tid]
-            if st.stalled:
+            cpu_id = cpu.cpu_id
+            r = tid - 1
+            # Lane handles come from the thread's live placement.
+            assert cpu_col[r] == cpu_id
+            handles.append((cpu_cache[cpu_id], fp_col[r]))
+            if stalled_col[r]:
                 # Hung/stalled: the thread pins its CPU but consumes
                 # nothing — zero demand, zero fill, zero progress, and no
                 # segment boundary can arrive while it isn't progressing.
-                entries.append((st, 0.0, 0.0, 0.0, math.inf))
+                entries.append((tid, 0.0, 0.0, 0.0, math.inf))
                 continue
-            rate, seg_end = st.demand.segment(st.work_done)
-            if rate < 0:
-                raise WorkloadError(f"demand pattern of thread {st.tid} returned negative rate")
-            if st.rebuild_debt > _SNAP:
+            # Demand-segment cache (shared with the batched pipeline):
+            # segment(work) is deterministic and work_done monotone, so a
+            # cached (rate, end) row is valid until work_done reaches end.
+            w = wd_col[r]
+            seg_end = seg_end_col[r]
+            if w < seg_end:
+                rate = seg_rate_col[r]
+            else:
+                rate, seg_end = self._threads[tid].demand.segment(w)
+                if rate < 0:
+                    raise WorkloadError(f"demand pattern of thread {tid} returned negative rate")
+                seg_rate_col[r] = rate
+                seg_end_col[r] = seg_end
+            if debt_col[r] > _SNAP:
                 fill = cfg_cache.rebuild_fill_rate_txus
                 r_eff = rate + fill
                 pf = cfg_cache.rebuild_progress_factor
@@ -947,34 +1011,47 @@ class Machine:
                 fill = 0.0
                 r_eff = rate
                 pf = 1.0
-            # SMT: a thread sharing its core runs (and issues) slower.
-            smt = self._smt_factor(cpu.cpu_id)
-            r_eff *= smt
-            fill *= smt
-            pf *= smt
-            entries.append((st, r_eff, fill, pf, seg_end))
+            if smt:
+                # SMT: a thread sharing its core runs (and issues) slower.
+                f = self._smt_factor(cpu_id)
+                r_eff *= f
+                fill *= f
+                pf *= f
+            entries.append((tid, r_eff, fill, pf, seg_end))
         # A reconfiguration that lands on the exact same running set with
         # the same effective rates (e.g. a re-dispatch cycle, a blocked
         # thread that never ran) leaves the cached lanes and bus solution
-        # valid — skip the rebuild entirely.
-        sig = tuple((st.tid, r_eff, fill, pf, seg_end) for st, r_eff, fill, pf, seg_end in entries)
+        # valid — skip the rebuild entirely. CPU ids are not in the
+        # signature, so a lone thread's migration can skip too: rebind
+        # the cache handles.
+        sig = tuple(entries)
         if sig == self._lane_sig:
             self._solve_skips += 1
+            for lane, (cache, fp) in zip(self._lanes, handles):
+                lane.cache = cache
+                lane.fp = fp
             self._dirty = False
             return
         self._lane_rebuilds += 1
-        lanes: list[_Lane] = []
-        requests: list[BusRequest] = []
-        for st, r_eff, fill, pf, seg_end in entries:
-            requests.append(self.bus.request_for_rate(r_eff))
-            lanes.append(_Lane(st, 0.0, pf, 0.0, fill, seg_end))
+        requests = self.bus.requests_for_rates([e[1] for e in entries])
         solution = self.bus.solve(requests)
-        for lane, grant, req in zip(lanes, solution.grants, requests):
-            lane.speed = grant.speed
-            lane.progress_rate = grant.speed * lane.progress_rate  # pf folded in
-            lane.tx_rate = grant.actual_txus
-            if req.rate_txus > 0.0 and lane.fill_rate > 0.0:
-                lane.fill_rate = grant.actual_txus * (lane.fill_rate / req.rate_txus)
+        threads = self._threads
+        row_of = self.counters.row_of
+        lanes: list[_Lane] = []
+        for (tid, _, fill, pf, seg_end), (cache, fp), grant, req in zip(
+            entries, handles, solution.grants, requests
+        ):
+            speed = grant.speed
+            tx_rate = grant.actual_txus
+            progress_rate = speed * pf
+            if req.rate_txus > 0.0 and fill > 0.0:
+                fill = tx_rate * (fill / req.rate_txus)
+            if tx_rate < 0.0 or progress_rate < 0.0:
+                _raise_negative_credit(tid, tx_rate, progress_rate)
+            lanes.append(_Lane(
+                threads[tid], row_of(tid), cache, fp, speed, progress_rate, tx_rate, fill,
+                seg_end,
+            ))
         self._lanes = lanes
         self._lane_sig = sig
         self._bus_utilisation = solution.utilisation
@@ -1064,6 +1141,10 @@ class Machine:
                 (g.actual_txus for g in solution.grants), dtype=np.float64, count=n
             )
         pr = sp * pf
+        neg = (ac < 0.0) | (pr < 0.0)
+        if neg.any():
+            i = int(np.argmax(neg))
+            _raise_negative_credit(int(rows[i]) + 1, float(ac[i]), float(pr[i]))
         mask = (r_eff > 0.0) & (fill > 0.0)
         ratio = np.divide(fill, r_eff, out=np.zeros(n), where=mask)
         fill_eff = np.where(mask, ac * ratio, fill)
@@ -1090,10 +1171,10 @@ class Machine:
     def _bind_lane_handles(self, rows: np.ndarray) -> None:
         """(Re)capture per-lane cache accounting handles from live placement."""
         s = self.store
-        cache_of = self.cache_of
-        fps = s.footprint_lines
+        cpu_cache = self._cpu_cache
+        fps = s.py_footprint_lines
         self._adv_cacc = [
-            (cache_of(c), r + 1, float(fps[r]))
+            (cpu_cache[c], r + 1, fps[r])
             for c, r in zip(s.cpu[rows].tolist(), rows.tolist())
         ]
 
@@ -1123,20 +1204,7 @@ class Machine:
         if self._soa:
             earliest = self._horizon_soa()
         else:
-            earliest = math.inf
-            for lane in self._lanes:
-                st = lane.state
-                if lane.progress_rate > 0.0:
-                    t_done = st.remaining_work / lane.progress_rate
-                    earliest = min(earliest, t_done)
-                    if math.isfinite(lane.seg_end):
-                        t_seg = max(0.0, lane.seg_end - st.work_done) / lane.progress_rate
-                        earliest = min(earliest, t_seg)
-                    if math.isfinite(st.next_io_at_work):
-                        t_io = max(0.0, st.next_io_at_work - st.work_done) / lane.progress_rate
-                        earliest = min(earliest, t_io)
-                if lane.fill_rate > 0.0 and st.rebuild_debt > 0.0:
-                    earliest = min(earliest, st.rebuild_debt / lane.fill_rate)
+            earliest = self._horizon_scalar()
         h = self._time + earliest if math.isfinite(earliest) else math.inf
         if earliest > 0.0 and h <= self._time:
             # Sub-ulp transition at a large absolute time: the residual is
@@ -1149,6 +1217,41 @@ class Machine:
             h = math.nextafter(self._time, math.inf)
         self._horizon_abs = h
         return h
+
+    def _horizon_scalar(self) -> float:
+        """Running minimum of every lane's transition times."""
+        s = self.store
+        wd = s.py_work_done
+        wt = s.py_work_total
+        nio = s.py_next_io_at_work
+        debt = s.py_rebuild_debt
+        isfinite = math.isfinite
+        earliest = math.inf
+        for lane in self._lanes:
+            r = lane.row
+            pr = lane.progress_rate
+            if pr > 0.0:
+                done = wd[r]
+                t = max(0.0, wt[r] - done) / pr
+                if t < earliest:
+                    earliest = t
+                seg_end = lane.seg_end
+                if isfinite(seg_end):
+                    t = max(0.0, seg_end - done) / pr
+                    if t < earliest:
+                        earliest = t
+                io_at = nio[r]
+                if isfinite(io_at):
+                    t = max(0.0, io_at - done) / pr
+                    if t < earliest:
+                        earliest = t
+            if lane.fill_rate > 0.0:
+                d = debt[r]
+                if d > 0.0:
+                    t = d / lane.fill_rate
+                    if t < earliest:
+                        earliest = t
+        return earliest
 
     def _horizon_soa(self) -> float:
         """One masked-divide pass per event family + a single ``min``.
@@ -1211,27 +1314,42 @@ class Machine:
             if self._soa:
                 if self._lane_rows.size:
                     self._advance_lanes_soa(dt)
-            else:
-                for lane in self._lanes:
-                    st = lane.state
-                    st.work_done += lane.progress_rate * dt
-                    st.run_time_us += dt
-                    tx = lane.tx_rate * dt
-                    self.counters.credit(
-                        lane.tid,
-                        bus_transactions=tx,
-                        cycles_us=dt,
-                        work_us=lane.progress_rate * dt,
-                    )
-                    assert st.cpu is not None
-                    self.cache_of(st.cpu).account_run(st.tid, st.footprint_lines, tx)
-                    if lane.fill_rate > 0.0:
-                        st.rebuild_debt = max(0.0, st.rebuild_debt - lane.fill_rate * dt)
+            elif self._lanes:
+                self._advance_lanes(dt)
         self._time = t
         if self._soa:
             self._process_transitions_soa()
         else:
             self._process_transitions()
+
+    def _advance_lanes(self, dt: float) -> None:
+        """Per-lane integration over the bound handles (scalar pipeline).
+
+        Work, on-CPU time and debt are added in the store's
+        ``array.array`` columns and the counters in the bank's, at rows
+        bound when the lanes were built; the lane's L2 was bound then too
+        (and rebound on a solve-skip). Lane order is kept, so SMT
+        siblings sharing an L2 account in CPU order.
+        """
+        s = self.store
+        wd = s.py_work_done
+        rt = s.py_run_time_us
+        debt = s.py_rebuild_debt
+        ctx, ccy, cwk = self.counters.py_columns
+        for lane in self._lanes:
+            r = lane.row
+            dw = lane.progress_rate * dt
+            tx = lane.tx_rate * dt
+            wd[r] += dw
+            rt[r] += dt
+            c = lane.crow
+            ctx[c] += tx
+            ccy[c] += dt
+            cwk[c] += dw
+            lane.cache.account_run(lane.tid, lane.fp, tx)
+            fill = lane.fill_rate
+            if fill > 0.0:
+                debt[r] = max(0.0, debt[r] - fill * dt)
 
     def _advance_lanes_soa(self, dt: float) -> None:
         """Store-wide lane integration: three fancy-indexed adds + caches.
@@ -1252,7 +1370,7 @@ class Machine:
         s.run_time_us[rows] += dt
         self.counters.credit_rows(self._adv_crows, dtx, dt, dwork)
         for (cache, tid, fp), tx in zip(self._adv_cacc, dtx.tolist()):
-            cache.account_run_fast(tid, fp, tx)
+            cache.account_run(tid, fp, tx)
         fsel = self._lane_fill_pos
         if fsel is not None:
             frows, frate = fsel
@@ -1260,22 +1378,35 @@ class Machine:
 
     def _process_transitions(self) -> None:
         """Handle completions, segment boundaries and debt drains at `now`."""
+        s = self.store
+
+        def columns():
+            return (s.py_finished, s.py_work_done, s.py_work_total,
+                    s.py_next_io_at_work, s.py_in_io, s.py_rebuild_debt)
+
+        finished, wd, wt, nio, in_io, debt = columns()
         for lane in list(self._lanes):
-            st = lane.state
-            if st.finished:
+            r = lane.row
+            if finished[r]:
                 continue
-            if st.work_done >= st.work_total - _SNAP:
-                self._finish_thread(st)
+            done = wd[r]
+            # Exit and I/O listeners may add threads, and a store that
+            # grows allocates new columns: re-fetch them after either.
+            if done >= wt[r] - _SNAP:
+                self._finish_thread(lane.state)
+                finished, wd, wt, nio, in_io, debt = columns()
                 continue
-            if st.work_done >= st.next_io_at_work - _SNAP and not st.in_io:
-                self._start_io(st)
+            if done >= nio[r] - _SNAP and not in_io[r]:
+                self._start_io(lane.state)
+                finished, wd, wt, nio, in_io, debt = columns()
                 continue
-            if math.isfinite(lane.seg_end) and st.work_done >= lane.seg_end - _SNAP:
-                st.work_done = max(st.work_done, lane.seg_end)
-                self._mark_dirty(st.tid)  # demand rate changes at the boundary
-            if lane.fill_rate > 0.0 and st.rebuild_debt <= _SNAP:
-                st.rebuild_debt = 0.0
-                self._mark_dirty(st.tid)
+            seg_end = lane.seg_end
+            if done >= seg_end - _SNAP and math.isfinite(seg_end):
+                wd[r] = max(done, seg_end)
+                self._mark_dirty(lane.tid)  # demand rate changes at the boundary
+            if lane.fill_rate > 0.0 and debt[r] <= _SNAP:
+                debt[r] = 0.0
+                self._mark_dirty(lane.tid)
 
     def _process_transitions_soa(self) -> None:
         """Masked transition detection; scalar commit per flagged lane.

@@ -7,6 +7,11 @@ path together still shows up. ``golden.json`` holds:
 * ``fig2`` — per-application mean target turnaround (µs) of Figure 2
   sets A, B and C at work scale 0.1, seed 42: the Linux baseline and
   each default policy;
+* ``counters`` — key counters of every Figure 2 set A run at work
+  scale 0.1, seed 42 (the Linux baseline and each default policy): per
+  application instance its transactions, on-CPU time, work done,
+  migrations and dispatches; per run its total transactions, context
+  switches, migrations and summed CPU idle time;
 * ``dyn1`` — one DYN-1 operating point (Quanta Window, Poisson arrivals
   at 2 jobs/s, 8 jobs, one replication, work scale 0.1, seed 42);
 * ``spec_hashes`` — ``SimulationSpec.spec_hash()`` of every spec that
@@ -67,6 +72,55 @@ def fig2_turnarounds() -> dict[str, dict[str, dict[str, float]]]:
     return out
 
 
+def fig2_counters() -> dict[str, dict[str, dict[str, Any]]]:
+    """``{app: {scheduler: {"apps": [...], run counters...}}}`` for set A."""
+    from dataclasses import replace
+
+    from repro.config import LinuxSchedConfig, MachineConfig, ManagerConfig
+    from repro.experiments.base import SimulationSpec, run_simulation
+    from repro.experiments.fig2 import default_policies
+    from repro.workloads.microbench import bbma_spec
+    from repro.workloads.suites import PAPER_APPS
+
+    manager = ManagerConfig()
+    out: dict[str, dict[str, dict[str, Any]]] = {}
+    for name in PAPER_APPS:
+        app = PAPER_APPS[name].scaled(FIG2_SCALE)
+        base = SimulationSpec(
+            targets=[app, app],
+            background=[bbma_spec() for _ in range(4)],
+            scheduler="linux",
+            machine=MachineConfig(),
+            manager=manager,
+            linux=LinuxSchedConfig(),
+            seed=FIG2_SEED,
+        )
+        runs = {"linux": base}
+        for policy in default_policies(manager):
+            runs[policy.name] = replace(base, scheduler=policy)
+        out[name] = {}
+        for scheduler, spec in runs.items():
+            result = run_simulation(spec)
+            out[name][scheduler] = {
+                "apps": [
+                    {
+                        "name": a.name,
+                        "transactions": a.transactions,
+                        "run_time_us": a.run_time_us,
+                        "work_done_us": a.work_done_us,
+                        "migrations": a.migrations,
+                        "dispatches": a.dispatches,
+                    }
+                    for a in result.apps
+                ],
+                "total_transactions": result.total_transactions,
+                "context_switches": result.context_switches,
+                "migrations": result.migrations,
+                "cpu_idle_us": result.cpu_idle_us,
+            }
+    return out
+
+
 def dyn1_point() -> dict[str, Any]:
     """The queueing metrics of :data:`DYN1_POINT`."""
     from repro.experiments.dynamic import run_dynamic_sweep
@@ -101,6 +155,7 @@ def service_smoke_hashes() -> dict[str, str]:
 
 SECTIONS = {
     "fig2": fig2_turnarounds,
+    "counters": fig2_counters,
     "dyn1": dyn1_point,
     "spec_hashes": service_smoke_hashes,
 }

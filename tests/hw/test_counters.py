@@ -49,6 +49,19 @@ class TestCredit:
         with pytest.raises(CounterError):
             bank.credit(1, bus_transactions=-1.0)
 
+    def test_py_columns_share_the_numpy_views_across_growth(self):
+        bank = CounterBank()
+        for tid in range(1, 200):  # forces growth
+            bank.register(tid)
+            tx, cycles, work = bank.py_columns  # re-fetched after register
+            row = bank.row_of(tid)
+            tx[row] += 2.0 * tid
+            cycles[row] += 1.0
+            work[row] += 0.5
+        assert bank.read(150) == CounterSnapshot(300.0, 1.0, 0.5)
+        rows = bank.rows_of([1, 2, 3])
+        assert bank.read_rows(rows) == bank.read_many([1, 2, 3])
+
     def test_per_thread_isolation(self, bank):
         bank.credit(1, bus_transactions=5.0)
         assert bank.read(2).bus_transactions == 0.0

@@ -8,11 +8,14 @@ how often it is recomputed, and the skip/rebuild counters must tell the
 two settle paths apart.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.config import MachineConfig
+from repro.errors import CounterError
+from repro.hw.bus import ThreadGrant
 from repro.hw.machine import Machine
 from repro.sim.engine import Engine
 from tests.pipeline import forced
@@ -232,3 +235,90 @@ class TestVectorSettleParity:
             assert (
                 vector.thread(tid).work_done == newton.thread(tid).work_done
             )
+
+
+class TestLaneHandles:
+    """Cache and counter handles bound at lane build, on both pipelines."""
+
+    def test_hot_debt_migration_keeps_signature_and_charges_new_cache(self):
+        # A thread still rebuilding (hot debt: fill and progress factor
+        # unchanged) migrates to an idle CPU. Its lane entry is the same
+        # on either CPU, so the lane build takes the solve-skip path; the
+        # handles must still be rebound, so its inflow lands in the new
+        # CPU's L2 and the old one keeps what it had.
+        pair = _mode_pair(n_cpus=4)
+        tids = _mirror(
+            pair,
+            lambda m: m.add_thread(
+                "hot", _FlatDemand(10.0), work_total=50_000.0, footprint_lines=4_000.0
+            ).tid,
+        )
+        tid = tids[0]
+        _mirror(pair, lambda m: m.dispatch(0, tid))
+        _mirror(pair, lambda m: m.advance_to(10.0))
+        for m in pair:
+            assert m.thread(tid).rebuild_debt > 1.0
+        skips = [m.solve_skips for m in pair]
+        rebuilds = [m.lane_rebuilds for m in pair]
+        before = [m.cache_of(0).resident(tid) for m in pair]
+        _mirror(pair, lambda m: m.dispatch(1, tid))
+        _mirror(pair, lambda m: m.advance_to(20.0))
+        scalar, batched = pair
+        for i, m in enumerate(pair):
+            assert m.solve_skips == skips[i] + 1
+            assert m.lane_rebuilds == rebuilds[i]
+            assert m.cache_of(0).resident(tid) == before[i] > 0.0
+            assert m.cache_of(1).resident(tid) > 0.0
+        assert batched.cache_of(1).resident(tid) == scalar.cache_of(1).resident(tid)
+        assert batched.thread(tid).rebuild_debt == scalar.thread(tid).rebuild_debt
+        assert batched.counters.read(tid) == scalar.counters.read(tid)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+    def test_negative_grant_raises_at_lane_build(self, batched, monkeypatch):
+        with forced(batched):
+            machine = Machine(MachineConfig(), Engine())
+        tid = machine.add_thread("t", _FlatDemand(10.0), work_total=1_000.0).tid
+        solve = machine.bus.solve
+
+        def negative_grants(requests):
+            sol = solve(requests)
+            grants = tuple(ThreadGrant(g.speed, -g.actual_txus - 1.0) for g in sol.grants)
+            return dataclasses.replace(sol, grants=grants, speeds_arr=None, actuals_arr=None)
+
+        monkeypatch.setattr(machine.bus, "solve", negative_grants)
+        machine.dispatch(0, tid)
+        with pytest.raises(CounterError, match="negative counter increment"):
+            machine.horizon()  # builds the lanes; nothing has advanced
+        assert machine.settle_calls == 0
+        assert machine.counters.read(tid).bus_transactions == 0.0
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+    def test_exit_listener_growing_the_store_mid_transition_pass(self, batched):
+        # Two threads finish at the same instant. The first one's exit
+        # listener registers enough threads to grow the store (new
+        # columns) and kills the second: the rest of the transition pass
+        # must see the kill and not finish that thread a second time.
+        with forced(batched):
+            machine = Machine(MachineConfig(), Engine())
+        a, b = (
+            machine.add_thread(
+                f"t{i}", _FlatDemand(5.0), work_total=100.0, footprint_lines=0.0
+            ).tid
+            for i in range(2)
+        )
+        machine.dispatch(0, a)
+        machine.dispatch(1, b)
+        exits = []
+
+        def on_exit(state):
+            exits.append(state.tid)
+            if state.tid == a:
+                for i in range(machine.store._capacity):
+                    machine.add_thread(f"late{i}", _FlatDemand(), work_total=50.0)
+                machine.kill_thread(b)
+
+        machine.add_exit_listener(on_exit)
+        machine.advance_to(machine.horizon())
+        assert exits == [a, b]
+        assert machine.thread(a).finished and machine.thread(b).finished
+        assert machine.thread(a).work_done == 100.0

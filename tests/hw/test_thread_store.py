@@ -90,6 +90,24 @@ class TestThreadStore:
         for name in FLOAT_FIELDS + INT_FIELDS + BOOL_FIELDS:
             assert isinstance(getattr(store, name), np.ndarray)
 
+    def test_array_and_numpy_paths_share_memory_across_growth(self):
+        store = ThreadStore(capacity=1)
+        store.add()
+        store.py_work_done[0] = 2.5
+        store.cpu[0] = 7
+        store.py_finished[0] = 1
+        for _ in range(3):
+            assert store.work_done[0] == 2.5
+            assert store.py_cpu[0] == 7
+            assert bool(store.finished[0])
+            store.add()  # grows: both paths are rebuilt over new memory
+        for name in FLOAT_FIELDS + INT_FIELDS + BOOL_FIELDS:
+            column = getattr(store, "py_" + name)
+            assert np.shares_memory(getattr(store, name), np.frombuffer(column, np.uint8))
+            assert len(column) == getattr(store, name).size
+        assert type(store.py_work_done[0]) is float
+        assert type(store.py_cpu[0]) is int
+
 
 class TestThreadStateView:
     def _machine(self):
