@@ -115,10 +115,11 @@ class BusConfig:
     fixed_point_tol:
         Convergence tolerance of the latency equilibrium search.
     solve_cache_size:
-        Capacity (entries) of the LRU memo cache inside
-        :meth:`repro.hw.bus.BusModel.solve`, keyed on the canonicalized
-        multiset of quantized requests. Running-thread sets recur every
-        scheduling cycle, so a small cache removes most root-finder work.
+        Capacity of the LRU memo cache inside
+        :meth:`repro.hw.bus.BusModel.solve`, in request multisets (exact
+        ``(rate, mem_fraction)`` pairs, in any order). Running-thread sets
+        recur every scheduling cycle, so a small cache removes most
+        root-finder work.
         ``0`` disables memoization (every solve recomputes).
     """
 

@@ -30,7 +30,7 @@ from ..dynamic.config import DynamicWorkload
 from ..dynamic.driver import OpenSystemDriver
 from ..errors import ConfigError
 from ..faults import FaultInjector, FaultPlan
-from ..hw.machine import Machine
+from ..hw.machine import Machine, ThreadState
 from ..metrics.accounting import RunResult, collect_run_result
 from ..metrics.timeline import TimelineSampler
 from ..rng import RngRegistry
@@ -384,11 +384,25 @@ def run_simulation_with_handle(
     if handle.dynamic is not None:
         handle.dynamic.start()
 
+    # The stop predicate runs after every engine event. A thread never
+    # leaves the finished state, so a cursor over the target threads
+    # moves forward only and each check costs O(1) until one finishes.
+    targets: list[ThreadState] = []
+    n_apps = 0  # target apps whose threads are in `targets`
+    cursor = 0  # first target thread not yet seen finished
+
     def done() -> bool:
-        return (
-            handle.pending_arrivals == 0
-            and all(app.finished for app in handle.target_apps)
-            and (handle.dynamic is None or handle.dynamic.all_done)
+        nonlocal n_apps, cursor
+        if handle.pending_arrivals != 0:
+            return False
+        apps = handle.target_apps
+        while n_apps < len(apps):
+            targets.extend(apps[n_apps].threads)
+            n_apps += 1
+        while cursor < len(targets) and targets[cursor].finished:
+            cursor += 1
+        return cursor == len(targets) and (
+            handle.dynamic is None or handle.dynamic.all_done
         )
 
     handle.engine.run(advancer=handle.machine, stop=done, max_time=spec.max_time_us)

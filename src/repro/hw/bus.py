@@ -75,11 +75,13 @@ max-min fairly among demands instead; it exists for the ABL-A ablation.
 All rates are piecewise constant between machine reconfigurations, so one
 ``solve`` call per reconfiguration suffices; still, a long run reconfigures
 thousands of times and the same running-thread sets recur every scheduling
-cycle, so ``solve`` keeps an LRU memo cache keyed on the canonicalized
-(sorted) multiset of quantized ``(rate, mem_fraction)`` pairs. A hit skips
-the root search entirely and returns the stored equilibrium with the grants
-matched back to the caller's request order (identical requests receive
-identical grants under both arbitration models, so the match is exact).
+cycle, so ``solve`` keeps an LRU memo cache of the multisets of exact
+``(rate, mem_fraction)`` pairs it has solved. A hit skips the root search
+entirely and returns the stored equilibrium with the grants matched back to
+the caller's request order (identical requests receive identical grants
+under both arbitration models, so the match is exact). Every request order
+seen for a resident multiset is recorded too, so a repeat of a known order
+is a single dict lookup.
 Hit/miss accounting is surfaced via :attr:`BusModel.solve_calls`,
 :attr:`BusModel.cache_hits` and :attr:`BusModel.bisection_steps` (the
 root finder's throughput evaluations) for the performance harness
@@ -92,6 +94,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,11 +110,8 @@ __all__ = [
     "derive_mem_fraction",
 ]
 
-#: Decimal places of the solve-cache key quantization. Exact matching on
-#: floats rounded this finely is an identity for the rates the simulator
-#: produces (they differ by far more than 1e-12 unless truly equal), while
-#: still collapsing bit-level noise from request-order permutations.
-_CACHE_DECIMALS = 12
+#: A request's memo key: its exact ``(rate_txus, mem_fraction)`` pair.
+_REQUEST_KEY = attrgetter("rate_txus", "mem_fraction")
 
 #: Lane count from which :meth:`BusModel.solve` evaluates lanes with the
 #: batched numpy kernels instead of the scalar loop (bit-equal either
@@ -280,11 +280,15 @@ class BusModel:
         self._batched_lanes = 0
         self._solve_time_s = 0.0
         self._profiling = False
-        # solve() memo: canonical multiset key -> (key sequence in the
-        # miss's request order, solution, quantized request -> grant).
+        # solve() memo, an LRU over multisets: sorted request keys ->
+        # (solution in the miss's request order, request key -> grant,
+        # every request order recorded for the multiset).
         self._cache: OrderedDict[
-            tuple, tuple[tuple, BusSolution, dict[tuple[float, float], ThreadGrant]]
+            tuple, tuple[BusSolution, dict[tuple[float, float], ThreadGrant], list[tuple]]
         ] = OrderedDict()
+        # Request keys in request order -> (multiset key, solution in that
+        # order); holds exactly the orders recorded for resident multisets.
+        self._orders: dict[tuple, tuple[tuple, BusSolution]] = {}
         self._cache_size = config.solve_cache_size
         # request_for_rate memo: the same handful of demand rates recur on
         # every reconfiguration; m = (r·lam0)^alpha is the pow() hot spot.
@@ -317,7 +321,7 @@ class BusModel:
 
     @property
     def cache_len(self) -> int:
-        """Number of solutions currently memoized."""
+        """Number of request multisets currently memoized."""
         return len(self._cache)
 
     @property
@@ -412,10 +416,12 @@ class BusModel:
     def solve(self, requests: Sequence[BusRequest]) -> BusSolution:
         """Compute the contention equilibrium for the running thread set.
 
-        Results are memoized on the multiset of ``(rate, mem_fraction)``
-        pairs (quantized to :data:`_CACHE_DECIMALS` decimals): two calls
-        whose requests differ only in order observe the same equilibrium,
-        and the per-thread grants are matched back by request value.
+        Results are memoized on the multiset of exact ``(rate,
+        mem_fraction)`` pairs: two calls whose requests differ only in
+        order observe the same equilibrium, and the per-thread grants are
+        matched back by request value. The LRU holds
+        ``solve_cache_size`` multisets; a hit in any order refreshes its
+        multiset, and evicting a multiset forgets its recorded orders.
         """
         if not self._profiling:
             return self._solve(requests)
@@ -431,43 +437,48 @@ class BusModel:
             return BusSolution(
                 grants=(), utilisation=0.0, latency_us=self._lam0, total_txus=0.0
             )
-        key_seq: tuple | None = None
-        key: tuple | None = None
-        if self._cache_size > 0:
-            key_seq = tuple(
-                (round(req.rate_txus, _CACHE_DECIMALS), round(req.mem_fraction, _CACHE_DECIMALS))
-                for req in requests
+        if self._cache_size == 0:
+            return self._solve_uncached(requests)
+        key_seq = tuple(map(_REQUEST_KEY, requests))
+        hit = self._orders.get(key_seq)
+        if hit is not None:
+            self._cache_hits += 1
+            self._cache.move_to_end(hit[0])
+            return hit[1]
+        key = tuple(sorted(key_seq))
+        entry = self._cache.get(key)
+        if entry is not None:
+            self._cache_hits += 1
+            self._cache.move_to_end(key)
+            solution, grant_map, orders = entry
+            # Same multiset, new request order: rebuild the grants tuple
+            # in the caller's order by value match. The lane arrays are
+            # stored in the *original* order, so they must not ride along.
+            solution = replace(
+                solution,
+                grants=tuple(grant_map[q] for q in key_seq),
+                speeds_arr=None,
+                actuals_arr=None,
             )
-            key = tuple(sorted(key_seq))
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._cache_hits += 1
-                self._cache.move_to_end(key)
-                stored_seq, solution, grant_map = entry
-                if stored_seq == key_seq:
-                    return solution
-                # Same multiset, different request order: rebuild the
-                # grants tuple in the caller's order by value match. The
-                # lane arrays are stored in the *original* order, so they
-                # must not ride along.
-                return replace(
-                    solution,
-                    grants=tuple(grant_map[q] for q in key_seq),
-                    speeds_arr=None,
-                    actuals_arr=None,
-                )
-        if self._cfg.arbitration == "max-min":
-            solution = self._solve_max_min(requests)
         else:
-            solution = self._solve_shared_latency(requests)
-        if key is not None:
+            solution = self._solve_uncached(requests)
             grant_map = {}
-            for q, grant in zip(key_seq, solution.grants):  # type: ignore[arg-type]
+            for q, grant in zip(key_seq, solution.grants):
                 grant_map.setdefault(q, grant)
-            self._cache[key] = (key_seq, solution, grant_map)
+            orders = []
+            self._cache[key] = (solution, grant_map, orders)
             if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+                _, (_, _, evicted) = self._cache.popitem(last=False)
+                for q in evicted:
+                    del self._orders[q]
+        orders.append(key_seq)
+        self._orders[key_seq] = (key, solution)
         return solution
+
+    def _solve_uncached(self, requests: Sequence[BusRequest]) -> BusSolution:
+        if self._cfg.arbitration == "max-min":
+            return self._solve_max_min(requests)
+        return self._solve_shared_latency(requests)
 
     # ------------------------------------------------------------------
 

@@ -20,9 +20,9 @@ columns (:attr:`CounterBank.py_columns`) at rows it bound when it built
 its lanes; the batched advance credits every running lane with three
 fancy-indexed adds on the numpy views (:meth:`CounterBank.credit_rows`);
 and the manager accumulates an application's counters without a
-per-thread dict walk (:meth:`CounterBank.read_rows`). The aggregate in
-``read_rows`` is a ``cumsum`` tail — bit-identical to the left-to-right
-scalar fold of :meth:`read_many`, which stays as the reference.
+per-thread dict walk (:meth:`CounterBank.read_rows`). ``read_rows``
+folds the ``array.array`` columns left to right from ``0.0``, the same
+fold as :meth:`read_many`, which stays as the reference.
 
 Registering a thread can grow the columns, which allocates new arrays:
 re-fetch :attr:`~CounterBank.py_columns` after :meth:`~CounterBank.register`.
@@ -247,18 +247,17 @@ class CounterBank:
     def read_rows(self, rows: np.ndarray) -> CounterSnapshot:
         """Accumulated snapshot over pre-resolved rows (see :meth:`rows_of`).
 
-        The sums are ``cumsum`` tails: numpy's cumulative sum accumulates
-        strictly left to right, which reproduces ``read_many``'s
-        ``0.0 + x0 + x1 + …`` fold bit-for-bit (``0.0 + x == x`` for the
-        non-negative counter values).
+        Plain-float ``0.0 + x0 + x1 + …`` folds over the ``array.array``
+        columns, in row order: the same operations as :meth:`read_many`,
+        so the same bits.
         """
-        if rows.size == 0:
-            return CounterSnapshot(0.0, 0.0, 0.0)
-        return CounterSnapshot(
-            float(self._tx[rows].cumsum()[-1]),
-            float(self._cycles[rows].cumsum()[-1]),
-            float(self._work[rows].cumsum()[-1]),
-        )
+        tx_col, cycles_col, work_col = self.py_columns
+        tx = cy = wk = 0.0
+        for row in rows.tolist():
+            tx += tx_col[row]
+            cy += cycles_col[row]
+            wk += work_col[row]
+        return CounterSnapshot(tx, cy, wk)
 
     def threads(self) -> list[int]:
         """All registered thread ids, sorted."""

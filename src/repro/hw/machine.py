@@ -419,9 +419,12 @@ class Machine:
         # rescanning all threads.
         self._ready: set[int] = set()
         self._ready_sorted: list[int] | None = None
-        # Memoized runnable list, batched pipeline only (runnable_threads).
+        # Memoized runnable list and rows (runnable_threads/_rows) and the
+        # number of unfinished threads (all_finished), all kept at the
+        # lifecycle edges.
         self._runnable_cache: list[ThreadState] | None = None
         self._runnable_rows: np.ndarray | None = None
+        self._live = 0
         self._dirty_mask_hits = 0
         # SoA lane columns (valid between rebuilds; row-aligned with
         # _lane_rows, which lists store rows in CPU order).
@@ -589,6 +592,7 @@ class Machine:
             state.next_io_at_work = float(io_interval_work_us)
         self._threads[tid] = state
         self.counters.register(tid)
+        self._live += 1
         self._invalidate_runnable()
         self._ready.add(tid)
         self._ready_sorted = None
@@ -632,11 +636,11 @@ class Machine:
         """Threads eligible for dispatch (unfinished, unblocked), by tid.
 
         One vectorized mask over the store (finished | blocked | in_io)
-        replaces the per-thread attribute scan. The batched pipeline
-        memoizes the list: membership only changes when a thread is added, finishes,
-        blocks/unblocks, or enters/leaves I/O — each of those paths drops
-        the memo, so a hit returns the same threads (same tid order) the
-        scan would.
+        replaces the per-thread attribute scan, and the list is memoized:
+        membership only changes when a thread is added, finishes, is
+        killed, blocks/unblocks, or enters/leaves I/O — each of those
+        paths drops the memo, so a hit returns the same threads (same tid
+        order) the scan would. Callers must not mutate the list.
         """
         if self._runnable_cache is not None:
             return self._runnable_cache
@@ -644,8 +648,7 @@ class Machine:
         n = len(self._threads)
         mask = ~(s.finished[:n] | s.blocked[:n] | s.in_io[:n])
         out = [t for t, ok in zip(self._threads.values(), mask.tolist()) if ok]
-        if self._soa:
-            self._runnable_cache = out
+        self._runnable_cache = out
         return out
 
     def runnable_rows(self) -> np.ndarray:
@@ -707,9 +710,12 @@ class Machine:
         return self.store if self._soa else None
 
     def all_finished(self) -> bool:
-        """Whether every registered thread has completed."""
-        n = len(self._threads)
-        return bool(self.store.finished[:n].all())
+        """Whether every registered thread has completed (or was killed).
+
+        Reads the count of unfinished threads that :meth:`add_thread`,
+        :meth:`kill_thread` and thread completion keep.
+        """
+        return self._live == 0
 
     @property
     def bus_utilisation(self) -> float:
@@ -893,6 +899,7 @@ class Machine:
         self._require_settled()
         state.stalled = False
         state.finished = True
+        self._live -= 1
         self._invalidate_runnable()
         self._ready_discard(tid)
         state.finished_at = self._time
@@ -1487,6 +1494,7 @@ class Machine:
     def _finish_thread(self, st: ThreadState) -> None:
         st.work_done = st.work_total
         st.finished = True
+        self._live -= 1
         self._invalidate_runnable()
         self._ready_discard(st.tid)
         st.finished_at = self._time

@@ -14,6 +14,17 @@ path together still shows up. ``golden.json`` holds:
   switches, migrations and summed CPU idle time;
 * ``dyn1`` — one DYN-1 operating point (Quanta Window, Poisson arrivals
   at 2 jobs/s, 8 jobs, one replication, work scale 0.1, seed 42);
+* ``fault1`` — one FAULT-1 operating point (CG, the reference fault plan
+  plus background crashes at full intensity, one replication, work
+  scale 0.1, seed 42): each default policy's fault-free and degraded
+  turnaround and fault counts. The crashes go through
+  ``Machine.kill_thread``; the generator asserts at least one happened;
+* ``memo_pressure`` — Figure 2 set A runs of a few applications at work
+  scale 0.1, seed 42, on a bus whose solve memo holds only
+  :data:`MEMO_PRESSURE_CACHE` entries: turnaround, transactions and the
+  bus solver's call/hit/resident counts per run. The generator asserts
+  every run missed the memo more often than it has entries, so the
+  entries pin evictions and reordered hits in absolute terms;
 * ``spec_hashes`` — ``SimulationSpec.spec_hash()`` of every spec that
   ``benchmarks/service_smoke.py`` submits, i.e. the service cache keys.
 
@@ -53,6 +64,16 @@ DYN1_POINT = {
     "work_scale": 0.1,
     "seed": 42,
 }
+FAULT1_POINT = {
+    "app": "CG",
+    "intensity": 1.0,
+    "crash_prob": 0.5,
+    "crash_mean_time_us": 200_000.0,
+    "work_scale": 0.1,
+    "seed": 42,
+}
+MEMO_PRESSURE_CACHE = 16
+MEMO_PRESSURE_APPS = ("Raytrace", "CG", "FMM")
 
 
 def fig2_turnarounds() -> dict[str, dict[str, dict[str, float]]]:
@@ -72,34 +93,46 @@ def fig2_turnarounds() -> dict[str, dict[str, dict[str, float]]]:
     return out
 
 
-def fig2_counters() -> dict[str, dict[str, dict[str, Any]]]:
-    """``{app: {scheduler: {"apps": [...], run counters...}}}`` for set A."""
+def _fig2_a_specs(name: str, machine=None) -> dict[str, Any]:
+    """``{scheduler: SimulationSpec}`` of one Figure 2 set A cell.
+
+    The Linux baseline and each default policy, at :data:`FIG2_SCALE`
+    and :data:`FIG2_SEED`, on ``machine`` (default: the paper's SMP).
+    """
     from dataclasses import replace
 
     from repro.config import LinuxSchedConfig, MachineConfig, ManagerConfig
-    from repro.experiments.base import SimulationSpec, run_simulation
+    from repro.experiments.base import SimulationSpec
     from repro.experiments.fig2 import default_policies
     from repro.workloads.microbench import bbma_spec
     from repro.workloads.suites import PAPER_APPS
 
     manager = ManagerConfig()
+    app = PAPER_APPS[name].scaled(FIG2_SCALE)
+    base = SimulationSpec(
+        targets=[app, app],
+        background=[bbma_spec() for _ in range(4)],
+        scheduler="linux",
+        machine=machine or MachineConfig(),
+        manager=manager,
+        linux=LinuxSchedConfig(),
+        seed=FIG2_SEED,
+    )
+    runs = {"linux": base}
+    for policy in default_policies(manager):
+        runs[policy.name] = replace(base, scheduler=policy)
+    return runs
+
+
+def fig2_counters() -> dict[str, dict[str, dict[str, Any]]]:
+    """``{app: {scheduler: {"apps": [...], run counters...}}}`` for set A."""
+    from repro.experiments.base import run_simulation
+    from repro.workloads.suites import PAPER_APPS
+
     out: dict[str, dict[str, dict[str, Any]]] = {}
     for name in PAPER_APPS:
-        app = PAPER_APPS[name].scaled(FIG2_SCALE)
-        base = SimulationSpec(
-            targets=[app, app],
-            background=[bbma_spec() for _ in range(4)],
-            scheduler="linux",
-            machine=MachineConfig(),
-            manager=manager,
-            linux=LinuxSchedConfig(),
-            seed=FIG2_SEED,
-        )
-        runs = {"linux": base}
-        for policy in default_policies(manager):
-            runs[policy.name] = replace(base, scheduler=policy)
         out[name] = {}
-        for scheduler, spec in runs.items():
+        for scheduler, spec in _fig2_a_specs(name).items():
             result = run_simulation(spec)
             out[name][scheduler] = {
                 "apps": [
@@ -142,6 +175,61 @@ def dyn1_point() -> dict[str, Any]:
     }
 
 
+def fault1_point() -> dict[str, dict[str, Any]]:
+    """``{policy: {...}}`` of :data:`FAULT1_POINT`."""
+    from dataclasses import replace
+
+    from repro.experiments.faults import REFERENCE_PLAN, run_faults
+
+    p = FAULT1_POINT
+    plan = replace(
+        REFERENCE_PLAN, crash_prob=p["crash_prob"], crash_mean_time_us=p["crash_mean_time_us"]
+    )
+    rows = run_faults(
+        app=p["app"], plan=plan, intensities=[p["intensity"]], replications=1,
+        seed=p["seed"], work_scale=p["work_scale"], jobs=1,
+    )
+    out: dict[str, dict[str, Any]] = {}
+    for row in rows:
+        (cell,) = row.cells
+        assert cell.stats.apps_crashed > 0, "the FAULT-1 point must exercise kill_thread"
+        out[row.policy] = {
+            "baseline_turnaround_us": row.baseline_turnaround_us,
+            "turnaround_us": cell.turnaround_us,
+            "retained_percent": cell.retained_percent,
+            "audit_ok": cell.audit_ok,
+            "stats": cell.stats.to_dict(),
+        }
+    return out
+
+
+def memo_pressure() -> dict[str, dict[str, dict[str, Any]]]:
+    """``{app: {scheduler: {...}}}``: set A runs on a tiny solve memo."""
+    from repro.config import BusConfig, MachineConfig
+    from repro.experiments.base import run_simulation_with_handle
+
+    machine = MachineConfig(bus=BusConfig(solve_cache_size=MEMO_PRESSURE_CACHE))
+    out: dict[str, dict[str, dict[str, Any]]] = {}
+    for name in MEMO_PRESSURE_APPS:
+        out[name] = {}
+        for scheduler, spec in _fig2_a_specs(name, machine).items():
+            result, handle = run_simulation_with_handle(spec)
+            bus = handle.machine.bus
+            misses = bus.solve_calls - bus.cache_hits
+            assert misses > MEMO_PRESSURE_CACHE, (
+                f"{name}/{scheduler}: {misses} memo misses do not overflow "
+                f"{MEMO_PRESSURE_CACHE} entries"
+            )
+            out[name][scheduler] = {
+                "turnaround_us": result.mean_target_turnaround_us(),
+                "total_transactions": result.total_transactions,
+                "solve_calls": bus.solve_calls,
+                "cache_hits": bus.cache_hits,
+                "cache_len": bus.cache_len,
+            }
+    return out
+
+
 def service_smoke_hashes() -> dict[str, str]:
     """``spec_hash()`` of the specs ``benchmarks/service_smoke.py`` submits."""
     from repro.service.schemas import spec_from_dict
@@ -157,6 +245,8 @@ SECTIONS = {
     "fig2": fig2_turnarounds,
     "counters": fig2_counters,
     "dyn1": dyn1_point,
+    "fault1": fault1_point,
+    "memo_pressure": memo_pressure,
     "spec_hashes": service_smoke_hashes,
 }
 

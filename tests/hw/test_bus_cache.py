@@ -1,5 +1,9 @@
 """Unit tests for the bus-solve memo cache (hit/miss accounting, eviction,
-permutation hits, and cached-vs-uncached identity)."""
+permutation hits, cached-vs-uncached identity, and equivalence with the
+former memo keyed on rounded requests)."""
+
+from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.config import BusConfig
 from repro.hw.bus import BusModel, BusRequest
+from tests.pipeline import forced
 
 
 @pytest.fixture
@@ -103,9 +108,8 @@ class TestEviction:
         assert second == first
 
 
-# Rates rounded to 6 decimals are exactly representable at the cache's
-# 12-decimal key quantization, so a cached replay must be bitwise equal
-# to an uncached solve of the same multiset.
+# A cached replay must be bitwise equal to an uncached solve of the
+# same multiset.
 _rate = st.floats(min_value=0.001, max_value=40.0).map(lambda r: round(r, 6))
 
 
@@ -152,6 +156,83 @@ class TestCachedEqualsUncached:
         assert a.latency_us == pytest.approx(b.latency_us, rel=1e-9, abs=1e-12)
         for ga, gb in zip(a.grants, b.grants):
             assert ga.speed == pytest.approx(gb.speed, rel=1e-9, abs=1e-12)
+
+
+class _RoundedKeyLRU:
+    """Reference: the solve memo keyed on requests rounded to 12 decimals.
+
+    One LRU entry per sorted multiset, storing the request order of the
+    miss; a hit in that order returns the stored solution, a hit in
+    another order re-matches the grants by value. Misses are solved by an
+    uncached model, whose warm start sees the same miss sequence as the
+    memo under test, so its solutions must match bit for bit.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.solver = BusModel(BusConfig(solve_cache_size=0))
+        self.size = size
+        self.cache: OrderedDict = OrderedDict()
+        self.hits = 0
+
+    def solve(self, requests):
+        key_seq = tuple(
+            (round(q.rate_txus, 12), round(q.mem_fraction, 12)) for q in requests
+        )
+        key = tuple(sorted(key_seq))
+        entry = self.cache.get(key)
+        if entry is not None:
+            self.hits += 1
+            self.cache.move_to_end(key)
+            stored_seq, solution, grant_map = entry
+            if stored_seq == key_seq:
+                return solution
+            return replace(
+                solution,
+                grants=tuple(grant_map[q] for q in key_seq),
+                speeds_arr=None,
+                actuals_arr=None,
+            )
+        solution = self.solver.solve(requests)
+        grant_map: dict = {}
+        for q, grant in zip(key_seq, solution.grants):
+            grant_map.setdefault(q, grant)
+        self.cache[key] = (key_seq, solution, grant_map)
+        if len(self.cache) > self.size:
+            self.cache.popitem(last=False)
+        return solution
+
+
+# A small pool, so that repeats, reorderings and in-set duplicates occur;
+# 0.0 is a zero-demand lane and 31.0 exceeds the streaming ceiling.
+_pool_rate = st.sampled_from([0.0, 0.5, 3.0, 7.25, 11.8, 23.6, 31.0])
+
+
+def _same_lane_array(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.tobytes() == b.tobytes()
+
+
+class TestMatchesRoundedKeyLRU:
+    @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=8),
+        calls=st.lists(st.lists(_pool_rate, min_size=1, max_size=5), min_size=1, max_size=40),
+    )
+    def test_every_call_matches_the_reference(self, batched, size, calls):
+        with forced(batched):
+            bus = BusModel(BusConfig(solve_cache_size=size))
+            ref = _RoundedKeyLRU(size)
+        for rates in calls:
+            got = bus.solve(_requests(bus, rates))
+            want = ref.solve(_requests(ref.solver, rates))
+            assert got == want  # grants, latency, totals, regime
+            assert _same_lane_array(got.speeds_arr, want.speeds_arr)
+            assert _same_lane_array(got.actuals_arr, want.actuals_arr)
+            assert bus.cache_hits == ref.hits
+            assert bus.cache_len == len(ref.cache)
+        assert bus.solve_calls == len(calls)
 
 
 class TestRequestMemo:

@@ -1,6 +1,10 @@
 """Unit tests for the counter bank and snapshots."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CounterError
 from repro.hw.counters import CounterBank, CounterSnapshot
@@ -78,6 +82,38 @@ class TestRead:
         total = bank.read_many([1, 2])
         assert total.bus_transactions == 12.0
         assert total.cycles_us == 3.0
+
+
+def _bits(snap: CounterSnapshot) -> tuple[bytes, ...]:
+    return tuple(
+        struct.pack("<d", x) for x in (snap.bus_transactions, snap.cycles_us, snap.work_us)
+    )
+
+
+# Mixed magnitudes, so that a sum's rounding depends on its order.
+_increment = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=1e9),
+)
+
+
+class TestReadRowsMatchesReadMany:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        credits=st.lists(
+            st.tuples(_increment, _increment, _increment), min_size=1, max_size=80
+        ),
+        data=st.data(),
+    )
+    def test_bitwise_equal_on_random_row_sets(self, credits, data):
+        bank = CounterBank()
+        for tid, (tx, cycles, work) in enumerate(credits, start=1):
+            bank.register(tid)
+            bank.credit(tid, bus_transactions=tx, cycles_us=cycles, work_us=work)
+        tids = data.draw(
+            st.lists(st.integers(min_value=1, max_value=len(credits)), max_size=12)
+        )
+        assert _bits(bank.read_rows(bank.rows_of(tids))) == _bits(bank.read_many(tids))
 
 
 class TestSnapshotDelta:
